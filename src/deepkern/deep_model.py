@@ -20,6 +20,7 @@ SENTINEL value (with a zero gradient) so line searches can retreat
 instead of aborting.
 """
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -275,25 +276,20 @@ def _cached_objective_pair(core):
     """f/g callables sharing one value+gradient evaluation per point.
 
     BFGS asks for the gradient exactly where it just evaluated f, so a
-    one-slot cache halves the work without any staleness risk.
+    one-slot cache halves the work without any staleness risk.  The slot is
+    per thread: each restart runs entirely in one thread of the multistart
+    pool, so concurrent restarts never share or evict each other's entry.
     """
-    last = {}
+    last = threading.local()
 
-    def f(c):
+    def value_and_grad(c):
         key = c.tobytes()
-        if last.get("key") != key:
-            val, grad, _ = core(c)
-            last.update(key=key, val=val, grad=grad)
-        return last["val"]
+        if getattr(last, "key", None) != key:
+            last.val, last.grad, _ = core(c)
+            last.key = key
+        return last.val, last.grad
 
-    def g(c):
-        key = c.tobytes()
-        if last.get("key") != key:
-            val, grad, _ = core(c)
-            last.update(key=key, val=val, grad=grad)
-        return last["grad"]
-
-    return f, g
+    return (lambda c: value_and_grad(c)[0]), (lambda c: value_and_grad(c)[1])
 
 
 def fit_two_layer(X, y, inner, outer, lam=0.0, mu=0.0, gamma=0.0,
@@ -305,24 +301,21 @@ def fit_two_layer(X, y, inner, outer, lam=0.0, mu=0.0, gamma=0.0,
     """
     from .optimize import BfgsConfig, multistart
 
-    config = config or BfgsConfig()
-    prob = TwoLayerProblem(X, y, inner, outer, policy=policy)
-    if lam == 0.0 and mu == 0.0:
-        core = lambda c: _interp_core(c, prob, gamma, want_grad=True)
-    else:
+    interpolation = lam == 0.0 and mu == 0.0
+    if not interpolation:
+        # checked here: inside a restart this ValueError would be taken for
+        # an unusable starting point
+        if not (lam > 0.0 and mu > 0.0):
+            raise ValueError("regression requires lam > 0 and mu > 0 (or both zero for interpolation)")
         if gamma != 0.0:
             raise ValueError("the separation penalty is an interpolation-mode device")
-        core = lambda c: _reg_core(c, prob, lam, mu, want_grad=True)
-    if threads > 1:
-        # the cache is not thread-safe; plain callables are
-        if lam == 0.0 and mu == 0.0:
-            f = lambda c: objective_interp(c, prob, gamma)
-            g = lambda c: grad_objective_interp(c, prob, gamma)
-        else:
-            f = lambda c: objective_reg(c, prob, lam, mu)
-            g = lambda c: grad_objective_reg(c, prob, lam, mu)
+    config = config or BfgsConfig()
+    prob = TwoLayerProblem(X, y, inner, outer, policy=policy)
+    if interpolation:
+        core = lambda c: _interp_core(c, prob, gamma, want_grad=True)
     else:
-        f, g = _cached_objective_pair(core)
+        core = lambda c: _reg_core(c, prob, lam, mu, want_grad=True)
+    f, g = _cached_objective_pair(core)
     result = multistart(f, g, prob.n_coeffs, config, threads=threads)
     c_best = prob.coeff_matrix(result.x)
     # outer coefficients recomputed from scratch at the final c

@@ -1,10 +1,16 @@
 """Seeded BFGS with strong Wolfe line search and a multistart driver.
 
-The problems here are a few hundred dimensions at most, so the full dense
-inverse-Hessian update is used (no limited-memory variant).  Objectives
-may return the large finite sentinel used by the interpolation objective
-for numerically singular Gram matrices; a line-search trial hitting it
-simply fails the sufficient-decrease test, which shrinks the step.
+The problems here are a few hundred dimensions at most, so a full dense
+inverse Hessian is kept (no limited-memory variant).  It is updated with
+the BFGS formula of Nocedal & Wright, *Numerical Optimization* (2nd ed.),
+eq. 6.17, expanded into one matrix-vector product and rank-one outer
+products, so an update costs O(n^2) rather than the O(n^3) of forming
+``V H V^T``.
+
+Objectives may return the large finite sentinel used by the interpolation
+objective for numerically singular Gram matrices; a line-search trial
+hitting it simply fails the sufficient-decrease test, which shrinks the
+step.
 
 Everything is deterministic given (seed, config): restart k draws its
 starting point from ``default_rng(seed ^ k)``, and the multistart
@@ -121,6 +127,19 @@ def _strong_wolfe(feval, geval, f0, dphi0, c1, c2, alpha_max=100.0, max_iter=25)
     return None
 
 
+def _inverse_update(H, s, y, rho):
+    """BFGS update of the inverse Hessian H in place, with rho = 1 / (s^T y).
+
+    Expands ``V H V^T + rho s s^T`` with ``V = I - rho s y^T`` (Nocedal &
+    Wright eq. 6.17) for symmetric H.  The cross terms are added in both
+    orders, so a symmetric H stays exactly symmetric.
+    """
+    Hy = H @ y
+    H += ((1.0 + rho * float(y @ Hy)) * rho) * np.outer(s, s)
+    cross = np.outer(Hy, s)
+    H -= rho * (cross + cross.T)
+
+
 def bfgs_minimize(f, g, x0, config=BfgsConfig(), restart_index=0):
     """Minimize f with dense BFGS starting at x0; deterministic given inputs."""
     x = np.array(x0, dtype=float)
@@ -130,7 +149,7 @@ def bfgs_minimize(f, g, x0, config=BfgsConfig(), restart_index=0):
     gx = np.asarray(g(x), dtype=float)
     gnorm = float(np.max(np.abs(gx))) if len(gx) else 0.0
     if gnorm <= config.grad_tol:
-        return OptimizationResult(x, float(f(x)), restart_index, 0, True, gnorm)
+        return OptimizationResult(x, fx, restart_index, 0, True, gnorm)
 
     n = len(x)
     eye = np.eye(n)
@@ -170,14 +189,13 @@ def bfgs_minimize(f, g, x0, config=BfgsConfig(), restart_index=0):
             if first_update:
                 H = (sy / float(yk @ yk)) * eye
                 first_update = False
-            rho = 1.0 / sy
-            V = eye - rho * np.outer(s, yk)
-            H = V @ H @ V.T + rho * np.outer(s, s)
+            _inverse_update(H, s, yk, 1.0 / sy)
         gnorm = float(np.max(np.abs(gx)))
         if gnorm <= config.grad_tol:
             converged = True
             break
-    return OptimizationResult(x, float(f(x)), restart_index, iterations, converged, gnorm)
+    # fx is f at the last accepted trial point x + a*p, which is x + s bitwise
+    return OptimizationResult(x, fx, restart_index, iterations, converged, gnorm)
 
 
 def _one_restart(f, g, dim, config, k):

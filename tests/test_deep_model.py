@@ -322,6 +322,56 @@ class TestOuterFit:
         )
 
 
+class TestFitTwoLayer:
+    def test_objective_cache_is_per_thread(self):
+        import sys
+        import threading
+
+        from deepkern.deep_model import _cached_objective_pair
+
+        f, g = _cached_objective_pair(lambda c: (float(c[0]), c + 1.0, True))
+        wrong = []
+
+        def work(k):
+            for i in range(2000):
+                c = np.array([float(k * 10000 + i)])
+                if f(c) != c[0] or g(c)[0] != c[0] + 1.0:
+                    wrong.append((k, i))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+    def test_threaded_regression_matches_sequential(self):
+        rng = np.random.default_rng(62)
+        X = rng.uniform(-1, 1, (8, 2))
+        y = rng.standard_normal(8)
+        config = BfgsConfig(restarts=4, max_iters=40, seed=62)
+        fits = [fit_two_layer(X, y, POLY1, GAUSS_OUT, lam=1e-2, mu=1e-2,
+                              config=config, threads=threads)[0]
+                for threads in (1, 2)]
+        np.testing.assert_array_equal(fits[0].c, fits[1].c)
+        np.testing.assert_array_equal(fits[0].alpha, fits[1].alpha)
+        assert fits[0].objective_value == fits[1].objective_value
+
+    @pytest.mark.parametrize("lam, mu", [(1.0, 0.0), (0.0, 1.0), (-1.0, 1.0), (1.0, float("nan"))])
+    def test_bad_regularization_is_a_config_error(self, lam, mu):
+        rng = np.random.default_rng(63)
+        X = rng.uniform(-1, 1, (4, 2))
+        with pytest.raises(ValueError, match="lam > 0 and mu > 0"):
+            fit_two_layer(X, rng.standard_normal(4), POLY1, GAUSS_OUT, lam=lam, mu=mu,
+                          config=BfgsConfig(restarts=2, max_iters=5))
+
+
 class TestPredictTwoLayer:
     def _fit(self, n=8, seed=60):
         rng = np.random.default_rng(seed)

@@ -56,6 +56,30 @@ class TestBfgs:
         with pytest.raises(ValueError):
             bfgs_minimize(lambda x: float("nan"), quadratic_grad, np.array([1.0]))
 
+    def test_returned_point_is_evaluated_once(self):
+        calls = []
+
+        def f(x):
+            calls.append(np.array(x))
+            return rosenbrock(x)
+
+        res = bfgs_minimize(f, rosenbrock_grad, np.array([-1.2, 1.0]),
+                            BfgsConfig(max_iters=200, grad_tol=1e-8))
+        assert res.converged
+        assert res.objective == rosenbrock(res.x)
+        assert sum(np.array_equal(c, res.x) for c in calls) == 1
+
+    def test_stationary_start_evaluates_once(self):
+        calls = []
+
+        def f(x):
+            calls.append(np.array(x))
+            return quadratic(x)
+
+        res = bfgs_minimize(f, quadratic_grad, np.zeros(3))
+        assert res.iterations == 0 and res.objective == 0.0
+        assert len(calls) == 1
+
     def test_objective_field_is_recomputed_value(self):
         res = bfgs_minimize(rosenbrock, rosenbrock_grad, np.array([0.5, 0.5]))
         assert res.objective == rosenbrock(res.x)
@@ -115,6 +139,36 @@ class TestBfgs:
         a, fa, ga = out
         assert fa <= f0 + c1 * a * dphi0               # sufficient decrease
         assert abs(float(ga @ p)) <= -c2 * dphi0       # curvature
+
+
+class TestInverseUpdate:
+    @staticmethod
+    def _random_pair(n=50, seed=0):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((n, n))
+        H = A @ A.T / n + np.eye(n)          # symmetric positive definite
+        s = rng.standard_normal(n)
+        y = s + 0.3 * rng.standard_normal(n)
+        assert float(s @ y) > 0.0           # curvature condition
+        return H, s, y, 1.0 / float(s @ y)
+
+    def test_matches_dense_product_form(self):
+        from deepkern.optimize import _inverse_update
+
+        H, s, y, rho = self._random_pair()
+        V = np.eye(len(s)) - rho * np.outer(s, y)
+        expected = V @ H @ V.T + rho * np.outer(s, s)
+        _inverse_update(H, s, y, rho)
+        assert np.linalg.norm(H - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_stays_exactly_symmetric(self):
+        from deepkern.optimize import _inverse_update
+
+        H, s, y, rho = self._random_pair(seed=1)
+        for k in range(5):
+            _inverse_update(H, s, y, rho)
+            np.testing.assert_array_equal(H, H.T)
+            s, y = np.roll(s, k + 1), np.roll(y, k + 1)
 
 
 class TestMultistart:
