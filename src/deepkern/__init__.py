@@ -2,22 +2,15 @@
 
 from .deep_model import (
     SENTINEL,
-    InnerLayer,
-    LayerStack,
     TwoLayerModel,
     TwoLayerProblem,
-    apply_inner_layers,
     block_gram,
-    compose_kernel_eval,
-    deep_kernel_eval,
     fit_two_layer,
     grad_objective_interp,
     grad_objective_reg,
-    inner_eval,
     inner_norm_sq,
     load_model,
     mlmkl_equivalence_check,
-    objective_general_L,
     objective_interp,
     objective_reg,
     outer_fit,

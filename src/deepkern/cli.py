@@ -17,6 +17,7 @@ import sys
 from .deep_model import (
     SENTINEL,
     TwoLayerProblem,
+    check_regularization,
     fit_two_layer,
     grad_objective_interp,
     grad_objective_reg,
@@ -147,8 +148,7 @@ def _cmd_fit(args):
             lam, mu = cv.best_lambda, cv.best_mu
             print(f"cv.best_lambda={lam!r}")
             print(f"cv.best_mu={mu!r}")
-        if not (lam > 0.0 and mu > 0.0):
-            raise ValueError("regression requires positive lambda and mu")
+        check_regularization(lam, mu)   # lam = mu = 0 would otherwise fit Int
     else:
         raise ValueError(f"unknown mode {mode!r}")
 

@@ -383,46 +383,14 @@ def write_dataset_csv(path, dataset):
             fh.write(",".join(_fmt(v) for v in row) + f",{_fmt(target)}\n")
 
 
-def read_dataset_csv(path):
-    """Parse the sample CSV; malformed rows raise with their line number."""
+def _read_csv_rows(path, what):
+    """Header fields and an (n, fields) float array; bad rows raise with their line number."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines:
-        raise ValueError(f"{path}: empty dataset file")
+        raise ValueError(f"{path}: empty {what} file")
     header = [h.strip() for h in lines[0].split(",")]
-    if header[-1] != "y" or len(header) < 2:
-        raise ValueError(f"{path}: expected header x1,...,xd,y")
-    d = len(header) - 1
-    X, y = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != d + 1:
-            raise ValueError(f"{path}:{lineno}: expected {d + 1} fields, got {len(parts)}")
-        try:
-            vals = [float(v) for v in parts]
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: non-numeric field") from None
-        if not np.all(np.isfinite(vals)):
-            raise ValueError(f"{path}:{lineno}: non-finite value")
-        X.append(vals[:-1])
-        y.append(vals[-1])
-    if not X:
-        raise ValueError(f"{path}: no data rows")
-    return Dataset(X=np.array(X), y=np.array(y))
-
-
-def read_points_csv(path):
-    """Points file: like the dataset CSV but the y column is optional."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty points file")
-    header = [h.strip() for h in lines[0].split(",")]
-    has_y = header[-1] == "y"
-    d = len(header) - 1 if has_y else len(header)
-    pts = []
+    rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -433,8 +401,27 @@ def read_points_csv(path):
             vals = [float(v) for v in parts]
         except ValueError:
             raise ValueError(f"{path}:{lineno}: non-numeric field") from None
-        pts.append(vals[:d])
-    return np.array(pts).reshape(len(pts), d)
+        if not np.all(np.isfinite(vals)):
+            raise ValueError(f"{path}:{lineno}: non-finite value")
+        rows.append(vals)
+    return header, np.array(rows).reshape(len(rows), len(header))
+
+
+def read_dataset_csv(path):
+    """Parse the sample CSV; malformed rows raise with their line number."""
+    header, rows = _read_csv_rows(path, "dataset")
+    if header[-1] != "y" or len(header) < 2:
+        raise ValueError(f"{path}: expected header x1,...,xd,y")
+    if not len(rows):
+        raise ValueError(f"{path}: no data rows")
+    return Dataset(X=rows[:, :-1].copy(), y=rows[:, -1].copy())
+
+
+def read_points_csv(path):
+    """Points file: like the dataset CSV but the y column is optional."""
+    header, rows = _read_csv_rows(path, "points")
+    d = len(header) - 1 if header[-1] == "y" else len(header)
+    return rows[:, :d].copy()
 
 
 def write_error_grid_csv(path, error_grid):

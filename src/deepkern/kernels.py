@@ -104,13 +104,8 @@ class PolyKernel:
         X, Z = _check_points(self, X), _check_points(self, Z)
         return (X @ Z.T + 1.0) ** self.degree
 
-    def grad2(self, x, y):
-        """Gradient of k(x, y) with respect to y."""
-        x, y = _check_pair(self, x, y)
-        return self.degree * (x @ y + 1.0) ** (self.degree - 1) * x
-
     def grad2_cross(self, X, Z):
-        """(n, m, dim) array of grad2 over all pairs (X_i, Z_j)."""
+        """(n, m, dim) array of the gradients of k(X_i, Z_j) with respect to Z_j."""
         X, Z = _check_points(self, X), _check_points(self, Z)
         base = self.degree * (X @ Z.T + 1.0) ** (self.degree - 1)
         return base[:, :, None] * X[:, None, :]
@@ -140,11 +135,6 @@ class GaussKernel:
         X, Z = _check_points(self, X), _check_points(self, Z)
         sq = np.sum((X[:, None, :] - Z[None, :, :]) ** 2, axis=-1)
         return np.exp(-sq / (2.0 * self.sigma**2))
-
-    def grad2(self, x, y):
-        x, y = _check_pair(self, x, y)
-        d = x - y
-        return float(np.exp(-(d @ d) / (2.0 * self.sigma**2))) * d / self.sigma**2
 
     def grad2_cross(self, X, Z):
         X, Z = _check_points(self, X), _check_points(self, Z)
@@ -192,10 +182,6 @@ class TensorMaternKernel:
         R = np.abs(X[:, None, :] - Z[None, :, :])
         return np.prod(self._factors(R), axis=-1)
 
-    def grad2(self, x, y):
-        x, y = _check_pair(self, x, y)
-        return self.grad2_cross(x[None, :], y[None, :])[0, 0]
-
     def grad2_cross(self, X, Z):
         X, Z = _check_points(self, X), _check_points(self, Z)
         diff = Z[None, :, :] - X[:, None, :]
@@ -239,13 +225,6 @@ class DiagScaledKernel:
     def dim(self):
         return self.scalar.dim
 
-    def diag_value(self, x, y):
-        """Diagonal of the D x D kernel matrix at a single pair."""
-        return self.scalar(x, y) * np.asarray(self.weights)
-
-    def eval_matrix(self, x, y):
-        return np.diag(self.diag_value(x, y))
-
     def diag_cross(self, X, Z):
         """(D, n, m) stack of per-output scalar Gram blocks."""
         k = self.scalar.cross(X, Z)
@@ -276,12 +255,6 @@ class DiagMixtureKernel:
     @property
     def dim(self):
         return self.components[0].dim
-
-    def diag_value(self, x, y):
-        return np.array([k(x, y) for k in self.components])
-
-    def eval_matrix(self, x, y):
-        return np.diag(self.diag_value(x, y))
 
     def diag_cross(self, X, Z):
         return np.stack([k.cross(X, Z) for k in self.components])

@@ -15,7 +15,6 @@ from deepkern.cli import main
 from deepkern.deep_model import (
     TwoLayerProblem,
     _cached_objective_pair,
-    _interp_core,
     block_gram,
     grad_objective_interp,
     grad_objective_reg,
@@ -220,7 +219,7 @@ class TestCriterion4RepresenterConsistency:
             for label, centers in (("base", None), ("aug", np.vstack([X, extra]))):
                 prob = TwoLayerProblem(X, y, inner, outer, centers=centers)
                 f, g = _cached_objective_pair(
-                    lambda c, p=prob: _interp_core(c, p, 0.0, True))
+                    lambda c, p=prob: interp_value_and_grad(c, p))
                 objs[label] = multistart(f, g, prob.n_coeffs, cfg).objective
             rel = (objs["base"] - objs["aug"]) / abs(objs["base"])
             worst = max(worst, rel)

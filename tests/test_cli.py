@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from deepkern.cli import main
-from deepkern.deep_model import load_model, predict_two_layer
+from deepkern.deep_model import TwoLayerModel, load_model, predict_two_layer, save_model
 from deepkern.experiments import SamplingPlan, sample_dataset, write_dataset_csv
+from deepkern.kernels import DiagScaledKernel, GaussKernel, PolyKernel
 
 INTERP_CONFIG = {
     "mode": "interpolate",
@@ -77,6 +78,14 @@ class TestFit:
         code = main(["fit", "--config", write_config(tmp_path, cfg), "--data", data,
                      "--out", str(tmp_path / "m.txt")])
         assert code == 2
+
+    @pytest.mark.parametrize("params", [{"lambda": 0}, {"lambda": 0, "mu": 0}])
+    def test_regression_nonpositive_parameters_exit_2(self, tmp_path, capsys, params):
+        data, _ = write_data(tmp_path)
+        cfg = write_config(tmp_path, {**REG_CONFIG, **params})
+        code = main(["fit", "--config", cfg, "--data", data, "--out", str(tmp_path / "m.json")])
+        assert code == 2
+        assert "lam > 0 and mu > 0" in capsys.readouterr().err
 
     def test_interpolation_training_residuals(self, tmp_path):
         data, ds = write_data(tmp_path, n=12, seed=5)
@@ -152,6 +161,17 @@ class TestPredict:
         direct = predict_two_layer(model, ds.X)
         printed = [float(l.split(",")[-1]) for l in first.strip().splitlines()[1:]]
         np.testing.assert_array_equal(np.array(printed), direct)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nonfinite_point_exits_2(self, tmp_path, capsys, value):
+        model_path, _ = self._fit(tmp_path)
+        capsys.readouterr()
+        pts = tmp_path / "pts.csv"
+        pts.write_text(f"x1,x2\n0.1,0.2\n0.3,{value}\n")
+        assert main(["predict", "--model", model_path, "--points", str(pts)]) == 2
+        captured = capsys.readouterr()
+        assert f"{pts}:3: non-finite value" in captured.err
+        assert captured.out == ""
 
     def test_dimension_mismatch_exits_2(self, tmp_path, capsys):
         model_path, _ = self._fit(tmp_path)
@@ -292,3 +312,74 @@ class TestThreads:
         assert main(["--threads", "1", "fit", "--config", cfg, "--data", data, "--out", out1]) == 0
         assert main(["--threads", "4", "fit", "--config", cfg, "--data", data, "--out", out2]) == 0
         assert open(out1).read() == open(out2).read()
+
+
+def _valid_record(tmp_path):
+    X = np.array([[0.1, 0.2], [-0.3, 0.4], [0.5, -0.6]])
+    model = TwoLayerModel(
+        X=X, inner=DiagScaledKernel(PolyKernel(1, 2), weights=(1.0, 2.0)),
+        outer=GaussKernel(1.0, 2), c=np.full((3, 2), 0.25), alpha=np.array([1.0, -2.0, 0.5]),
+        lam=0.0, mu=0.0, gamma=0.0, objective_value=1.5)
+    path = tmp_path / "good.json"
+    save_model(model, path)
+    return json.loads(path.read_text())
+
+
+def _drop(key):
+    return lambda rec: {k: v for k, v in rec.items() if k != key}
+
+
+def _set(key, value):
+    return lambda rec: {**rec, key: value}
+
+
+BAD_MODELS = {
+    "wrong_format_tag": _set("format", "deepkern-two-layer-v3"),
+    "missing_alpha": _drop("alpha"),
+    "missing_outer": _drop("outer"),
+    "x_wrong_dim": _set("X", [[0.1], [0.2], [0.3]]),
+    "x_ragged": _set("X", [[0.1, 0.2], [0.3], [0.5, 0.6]]),
+    "x_empty": _set("X", []),
+    "c_wrong_rows": _set("c", [[0.25, 0.25]] * 2),
+    "c_wrong_cols": _set("c", [[0.25, 0.25, 0.25]] * 3),
+    "alpha_wrong_length": _set("alpha", [1.0, 2.0]),
+    "alpha_matrix": _set("alpha", [[1.0], [2.0], [3.0]]),
+    "outer_dim_mismatch": _set("outer", {"family": "gauss", "sigma": 1.0, "dim": 3}),
+    "bad_kernel_family": _set("outer", {"family": "cubic", "dim": 2}),
+    "lambda_not_a_number": _set("lambda", "small"),
+}
+
+BAD_MODEL_TEXTS = {
+    "invalid_json": lambda text: text[:-10],
+    "not_an_object": lambda text: "[1, 2, 3]\n",
+    "nan_in_alpha": lambda text: text.replace('"alpha": [1.0', '"alpha": [NaN'),
+    "infinity_in_c": lambda text: text.replace('"c": [[0.25', '"c": [[Infinity', 1),
+    "overflow_in_x": lambda text: text.replace('"X": [[0.1', '"X": [[1e400'),
+    "v1_key_value": lambda text: "format=deepkern-two-layer-v1\nouter.family=gauss\nn=3\n",
+}
+
+
+class TestBadModelFiles:
+    def _predict(self, tmp_path, text):
+        model_path = tmp_path / "bad.json"
+        model_path.write_text(text)
+        pts = tmp_path / "pts.csv"
+        pts.write_text("x1,x2\n0.1,0.2\n")
+        return main(["predict", "--model", str(model_path), "--points", str(pts)])
+
+    def test_valid_file_predicts(self, tmp_path):
+        assert self._predict(tmp_path, json.dumps(_valid_record(tmp_path))) == 0
+
+    @pytest.mark.parametrize("case", sorted(BAD_MODELS))
+    def test_bad_record_exits_2(self, tmp_path, capsys, case):
+        text = json.dumps(BAD_MODELS[case](_valid_record(tmp_path)))
+        assert self._predict(tmp_path, text) == 2
+        assert "bad.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(BAD_MODEL_TEXTS))
+    def test_bad_text_exits_2(self, tmp_path, capsys, case):
+        good = json.dumps(_valid_record(tmp_path))
+        text = BAD_MODEL_TEXTS[case](good)
+        assert text != good
+        assert self._predict(tmp_path, text) == 2
+        assert "bad.json" in capsys.readouterr().err

@@ -1,36 +1,32 @@
-"""Two-layer objectives, analytic gradients, deep stacks, MLMKL identity."""
+"""Two-layer objectives, analytic gradients, prediction, MLMKL identity, model files."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from deepkern.deep_model import (
     SENTINEL,
-    InnerLayer,
-    LayerStack,
+    TwoLayerModel,
     TwoLayerProblem,
     block_gram,
-    compose_kernel_eval,
-    deep_kernel_eval,
     fit_two_layer,
     grad_objective_interp,
     grad_objective_reg,
-    inner_eval,
     inner_norm_sq,
     interp_value_and_grad,
+    load_model,
     mlmkl_equivalence_check,
-    model_from_text,
-    model_to_text,
-    objective_general_L,
     objective_interp,
     objective_reg,
     outer_fit,
     penalty_coth,
     predict_two_layer,
-    predict_via_composed_kernel,
     q_matrix,
-    two_layer_stack,
+    save_model,
 )
 from deepkern.kernels import (
     DiagMixtureKernel,
@@ -52,21 +48,27 @@ def small_problem(n=4, seed=0, inner=POLY1, outer=GAUSS_OUT, y=None):
     return TwoLayerProblem(X, y, inner, outer)
 
 
+def inner_at(c, inner, X, x):
+    """g(x) for the inner map with coefficients c over the centers X."""
+    prob = TwoLayerProblem(X, np.zeros(len(X)), inner, GaussKernel(1.0, inner.out_dim))
+    return prob.images_at(c, x)[0]
+
+
 class TestInnerEval:
     def test_zero_coefficients(self):
         X = np.array([[0.1, 0.2], [0.3, -0.5]])
-        g = inner_eval(np.zeros((2, 2)), POLY1, X, np.array([0.7, 0.7]))
+        g = inner_at(np.zeros((2, 2)), POLY1, X, np.array([0.7, 0.7]))
         np.testing.assert_array_equal(g, np.zeros(2))
 
     def test_gauss_at_center(self):
         K = DiagScaledKernel(GaussKernel(1.0, 2), weights=(1.0, 1.0))
         X = np.array([[0.4, -0.3]])
-        g = inner_eval(np.array([[2.0, 3.0]]), K, X, X[0])
+        g = inner_at(np.array([[2.0, 3.0]]), K, X, X[0])
         np.testing.assert_allclose(g, [2.0, 3.0])
 
     def test_poly_at_center(self):
         X = np.array([[1.0, 0.0]])
-        g = inner_eval(np.array([[1.0, 1.0]]), POLY1, X, np.array([1.0, 0.0]))
+        g = inner_at(np.array([[1.0, 1.0]]), POLY1, X, np.array([1.0, 0.0]))
         np.testing.assert_allclose(g, [2.0, 2.0])
 
 
@@ -83,8 +85,7 @@ class TestQMatrix:
         prob = small_problem(n=2, seed=5)
         c = np.random.default_rng(6).standard_normal(4)
         Q = q_matrix(c, prob)
-        g1 = inner_eval(c, prob.inner, prob.X, prob.X[0])
-        g2 = inner_eval(c, prob.inner, prob.X, prob.X[1])
+        g1, g2 = prob.images_at(c, prob.X[0])[0], prob.images_at(c, prob.X[1])[0]
         assert Q[0, 1] == pytest.approx(prob.outer(g1, g2), rel=1e-13)
         np.testing.assert_array_equal(Q, Q.T)
 
@@ -389,7 +390,6 @@ class TestPredictTwoLayer:
     def test_zero_coefficients_constant_prediction(self):
         rng = np.random.default_rng(61)
         X = rng.uniform(-1, 1, (3, 2))
-        from deepkern.deep_model import TwoLayerModel
         alpha = np.array([0.5, -1.0, 2.0])
         model = TwoLayerModel(X=X, inner=POLY1, outer=GAUSS_OUT, c=np.zeros((3, 2)),
                               alpha=alpha, lam=0.0, mu=0.0, gamma=0.0, objective_value=0.0)
@@ -398,108 +398,22 @@ class TestPredictTwoLayer:
         np.testing.assert_allclose(predict_two_layer(model, pts), expected)
 
     def test_evaluation_orders_agree(self):
+        # the composed-kernel expansion sum_j alpha_j K(g(x_j), g(t)), pair by pair
         model, X, _ = self._fit(seed=62)
+        prob = model.problem()
         pts = np.random.default_rng(63).uniform(-1, 1, (7, 2))
         a = predict_two_layer(model, pts)
-        b = predict_via_composed_kernel(model, pts)
+        b = [sum(aj * model.outer(prob.images_at(model.c, xj)[0], prob.images_at(model.c, t)[0])
+                 for aj, xj in zip(model.alpha, model.X))
+             for t in pts]
         np.testing.assert_allclose(a, b, rtol=1e-12)
 
     def test_compose_kernel_symmetry(self):
         model, X, _ = self._fit(seed=64)
+        prob = model.problem()
         rng = np.random.default_rng(65)
-        x, t = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
-        assert compose_kernel_eval(model, x, t) == compose_kernel_eval(model, t, x)
-
-
-class TestLayerStack:
-    def _model(self, seed=70):
-        rng = np.random.default_rng(seed)
-        X = rng.uniform(-1, 1, (5, 2))
-        y = rng.standard_normal(5)
-        model, _ = fit_two_layer(X, y, POLY1, GAUSS_OUT,
-                                 config=BfgsConfig(restarts=2, seed=seed))
-        return model
-
-    def test_two_layer_reduction(self):
-        model = self._model()
-        stack = two_layer_stack(model)
-        rng = np.random.default_rng(71)
-        for _ in range(10):
-            x, t = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
-            assert deep_kernel_eval(stack, x, t) == pytest.approx(
-                compose_kernel_eval(model, x, t), rel=1e-12
-            )
-
-    def test_zero_stack_value(self):
-        layer = InnerLayer(POLY1, np.zeros((1, 2)), np.zeros((1, 2)))
-        stack = LayerStack((layer,), GAUSS_OUT)
-        assert deep_kernel_eval(stack, np.array([0.3, 0.1]), np.array([-0.2, 0.9])) == 1.0
-
-    def test_identity_middle_layer_keeps_two_layer_value(self):
-        # a Poly-1 layer realizing the exact identity map on R^2
-        model = self._model(seed=72)
-        centers = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-        coeffs = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
-        identity_layer = InnerLayer(POLY1, centers, coeffs)
-        base = two_layer_stack(model)
-        deep = LayerStack(base.inner_layers + (identity_layer,), GAUSS_OUT, model.alpha)
-        rng = np.random.default_rng(73)
-        for _ in range(10):
-            x, t = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
-            assert deep_kernel_eval(deep, x, t) == pytest.approx(
-                deep_kernel_eval(base, x, t), rel=1e-10
-            )
-
-    def test_dimension_chain_violation(self):
-        l1 = InnerLayer(POLY1, np.zeros((1, 2)), np.zeros((1, 2)))
-        k3 = DiagScaledKernel(PolyKernel(1, 3), weights=(1.0, 1.0, 1.0))
-        l2 = InnerLayer(k3, np.zeros((1, 3)), np.zeros((1, 3)))
-        with pytest.raises(ValueError):
-            LayerStack((l2, l1), GaussKernel(1.0, 2))
-        with pytest.raises(ValueError):
-            LayerStack((l1,), GaussKernel(1.0, 3))
-
-    def test_degrees_of_freedom(self):
-        layer = InnerLayer(POLY1, np.zeros((100, 2)), np.zeros((100, 2)))
-        stack = LayerStack((layer,), GAUSS_OUT)
-        assert stack.degrees_of_freedom() == 300
-
-
-class TestObjectiveGeneralL:
-    def test_matches_regression_objective(self):
-        prob = small_problem(n=5, seed=80)
-        rng = np.random.default_rng(81)
-        lam, mu = 0.4, 0.9
-        for _ in range(5):
-            c = rng.standard_normal(prob.n_coeffs)
-            alpha = outer_fit(c, prob, lam)
-            from deepkern.deep_model import TwoLayerModel
-            model = TwoLayerModel(X=prob.X, inner=prob.inner, outer=prob.outer,
-                                  c=prob.coeff_matrix(c), alpha=alpha,
-                                  lam=lam, mu=mu, gamma=0.0, objective_value=0.0)
-            stack = two_layer_stack(model)
-            j = objective_general_L(stack, prob.X, prob.y, loss="squared", thetas=(lam, mu))
-            assert j == pytest.approx(objective_reg(c, prob, lam, mu), rel=1e-10)
-
-    def test_all_zero_is_zero(self):
-        layer = InnerLayer(POLY1, np.zeros((3, 2)), np.zeros((3, 2)))
-        stack = LayerStack((layer,), GAUSS_OUT, alpha=np.zeros(3))
-        X = np.random.default_rng(82).uniform(-1, 1, (3, 2))
-        assert objective_general_L(stack, X, np.zeros(3), loss="squared") == 0.0
-
-    def test_indicator_loss(self):
-        prob = small_problem(n=4, seed=83)
-        c = np.random.default_rng(84).standard_normal(prob.n_coeffs)
-        alpha = outer_fit(c, prob, lam=0.0)
-        from deepkern.deep_model import TwoLayerModel
-        model = TwoLayerModel(X=prob.X, inner=prob.inner, outer=prob.outer,
-                              c=prob.coeff_matrix(c), alpha=alpha,
-                              lam=0.0, mu=0.0, gamma=0.0, objective_value=0.0)
-        stack = two_layer_stack(model)
-        ok = objective_general_L(stack, prob.X, prob.y, loss="interpolation")
-        assert ok < SENTINEL   # constraints hold at the interpolating alpha
-        bad = objective_general_L(stack, prob.X, prob.y + 1.0, loss="interpolation")
-        assert bad == SENTINEL
+        gx, gt = (prob.images_at(model.c, rng.uniform(-1, 1, 2))[0] for _ in range(2))
+        assert model.outer(gx, gt) == model.outer(gt, gx)
 
 
 class TestMlmkl:
@@ -545,6 +459,15 @@ class TestMlmkl:
                                     rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2))
 
 
+def _round_trip(model, path):
+    """(reloaded model, first file text, text of the reloaded model saved again)."""
+    save_model(model, path)
+    text = path.read_text()
+    clone = load_model(path)
+    save_model(clone, path)
+    return clone, text, path.read_text()
+
+
 class TestSerialization:
     def test_round_trip_bit_identical_predictions(self, tmp_path):
         rng = np.random.default_rng(95)
@@ -552,21 +475,51 @@ class TestSerialization:
         y = rng.standard_normal(6)
         model, _ = fit_two_layer(X, y, POLY1, GAUSS_OUT,
                                  config=BfgsConfig(restarts=2, seed=95))
-        text = model_to_text(model)
-        clone = model_from_text(text)
+        clone, text, again = _round_trip(model, tmp_path / "model.json")
         pts = rng.uniform(-1, 1, (20, 2))
         np.testing.assert_array_equal(predict_two_layer(model, pts),
                                       predict_two_layer(clone, pts))
-        assert model_to_text(clone) == text
+        assert again == text
 
-    def test_mixture_round_trip(self):
+    def test_mixture_round_trip(self, tmp_path):
         mix = DiagMixtureKernel((GaussKernel(0.1, 2), GaussKernel(1.0, 2), PolyKernel(2, 2)))
         rng = np.random.default_rng(96)
         X = rng.uniform(-1, 1, (4, 2))
         y = rng.standard_normal(4)
         model, _ = fit_two_layer(X, y, mix, PolyKernel(1, 3), lam=0.1, mu=0.1,
                                  config=BfgsConfig(restarts=2, seed=96))
-        clone = model_from_text(model_to_text(model))
+        clone, _, _ = _round_trip(model, tmp_path / "model.json")
         pts = rng.uniform(-1, 1, (5, 2))
         np.testing.assert_array_equal(predict_two_layer(model, pts),
                                       predict_two_layer(clone, pts))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_round_trip_property(self, tmp_path_factory, data):
+        d = data.draw(st.integers(1, 3), label="d")
+        D = data.draw(st.integers(1, 4), label="D")
+        n = data.draw(st.integers(1, 8), label="N")
+        scalar = st.one_of(
+            st.builds(PolyKernel, degree=st.integers(1, 3), dim=st.just(d)),
+            st.builds(GaussKernel, sigma=st.floats(0.05, 5.0), dim=st.just(d)),
+            st.builds(TensorMaternKernel, order=st.integers(1, 3), dim=st.just(d)),
+        )
+        inner = data.draw(st.one_of(
+            st.builds(DiagScaledKernel, scalar=scalar,
+                      weights=st.lists(st.floats(1e-3, 10.0), min_size=D, max_size=D)),
+            st.builds(DiagMixtureKernel, components=st.lists(scalar, min_size=D, max_size=D)),
+        ), label="inner")
+        outer = data.draw(st.sampled_from(
+            [PolyKernel(2, D), GaussKernel(0.7, D), TensorMaternKernel(1, D)]), label="outer")
+        coeffs = st.floats(-10.0, 10.0)
+        model = TwoLayerModel(
+            X=data.draw(arrays(float, (n, d), elements=st.floats(-1.0, 1.0)), label="X"),
+            inner=inner, outer=outer,
+            c=data.draw(arrays(float, (n, D), elements=coeffs), label="c"),
+            alpha=data.draw(arrays(float, (n,), elements=coeffs), label="alpha"),
+            lam=data.draw(st.floats(0.0, 1.0)), mu=data.draw(st.floats(0.0, 1.0)),
+            gamma=0.0, objective_value=data.draw(st.floats(0.0, 1e12)))
+        clone, text, again = _round_trip(model, tmp_path_factory.mktemp("rt") / "model.json")
+        assert again == text
+        pts = data.draw(arrays(float, (5, d), elements=st.floats(-2.0, 2.0)), label="points")
+        np.testing.assert_array_equal(predict_two_layer(model, pts), predict_two_layer(clone, pts))
