@@ -50,6 +50,7 @@ from .kernels import (
 )
 from .optimize import (
     BfgsConfig,
+    InfeasibleStartError,
     OptimizationError,
     OptimizationResult,
     bfgs_minimize,

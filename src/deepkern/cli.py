@@ -159,6 +159,8 @@ def _cmd_fit(args):
     print(f"objective={result.objective!r}")
     print(f"restart_index={result.restart_index}")
     print(f"grad_norm={result.grad_norm!r}")
+    print(f"converged={result.converged}")
+    print(f"iterations={result.iterations}")
     print(f"model={args.out}")
     return 0
 

@@ -14,12 +14,17 @@ alpha = (Q + lam I)^{-1} y the outer coefficients:
 Interpolation (Int, lam = 0):  y^T alpha + N(c)                  [+ coth penalty]
 Regression (Reg, lam, mu > 0): lam alpha^T Q alpha + |y - Q alpha|^2 + mu N(c)
 
-``_objective_core`` evaluates both.  Only the data term depends on the
-mode; the rest is shared and weighted by (s, w) = (1, 1) for Int and
-(lam, mu) for Reg: the value gets w N(c), and the gradient pulls
--2 s alpha_p sum_n alpha_n d2K(g_n, g_p) back through dg/dc and adds
-2 w Kblock c.  Gradients are exact, and one objective+gradient evaluation
-costs O(N^3 D + (N D)^2).
+One core evaluates both, in two stages.  ``_objective_value`` forms Q,
+solves for alpha and returns the value with the state the gradient needs;
+``_objective_grad`` turns that state into the gradient, the only place the
+outer kernel's derivatives (``grad2_cross``) are evaluated.  Only the data
+term depends on the mode; the rest is shared and weighted by
+(s, w) = (1, 1) for Int and (lam, mu) for Reg: the value gets w N(c), and
+the gradient pulls -2 s alpha_p sum_n alpha_n d2K(g_n, g_p) back through
+dg/dc and adds 2 w Kblock c.  Gradients are exact, and one
+objective+gradient evaluation costs O(N^3 D + (N D)^2).  The fitting
+driver runs the second stage only at points where the line search asks
+for the gradient.
 
 A numerically singular or non-finite Q maps to the finite SENTINEL value
 (with a zero gradient and ok=False) so line searches can retreat instead
@@ -155,22 +160,22 @@ def check_regularization(lam, mu):
         raise ValueError(f"regression requires lam > 0 and mu > 0, got lam={lam!r}, mu={mu!r}")
 
 
-def _sentinel(prob):
-    return SENTINEL, np.zeros(prob.n_coeffs), False
+def _objective_value(c, prob, lam, mu, gamma):
+    """Stage one: (value, state) of Int (lam = 0) or Reg (lam > 0).
 
-
-def _objective_core(c, prob, lam, mu, gamma, want_grad):
-    """(value, gradient, ok) of Int (lam = 0) or Reg (lam > 0); ok=False is the sentinel region."""
+    ``state`` is (Z, alpha, s, w, dPdZ), everything ``_objective_grad``
+    needs, or None in the sentinel region, where the value is SENTINEL.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
         Z = prob.images(c)
         Q = prob.outer.cross(Z, Z)
     Q = 0.5 * (Q + Q.T)
     if not np.all(np.isfinite(Q)):   # overflowed images, e.g. runaway line-search trial
-        return _sentinel(prob)
+        return SENTINEL, None
     try:
         alpha, _ = spd_solve(Q + lam * np.eye(len(Q)) if lam else Q, prob.y, prob.policy)
     except SingularMatrixError:      # for lam > 0 unreachable in exact arithmetic
-        return _sentinel(prob)
+        return SENTINEL, None
     if lam:   # lam alpha^T Q alpha + |y - Q alpha|^2, weights (s, w) = (lam, mu)
         Qa = Q @ alpha
         val, s, w = lam * float(alpha @ Qa) + float(np.sum((prob.y - Qa) ** 2)), lam, mu
@@ -182,18 +187,30 @@ def _objective_core(c, prob, lam, mu, gamma, want_grad):
     if gamma > 0.0:
         pen, dPdZ = _penalty_terms(Z, gamma)
         if dPdZ is None:
-            return _sentinel(prob)
+            return SENTINEL, None
         val += pen
-    if not want_grad:
-        return val, None, True
+    return val, (Z, alpha, s, w, dPdZ)
 
+
+def _objective_grad(c, prob, state):
+    """Stage two: the exact gradient from stage one's state; zero in the sentinel region."""
+    if state is None:
+        return np.zeros(prob.n_coeffs)
+    Z, alpha, s, w, dPdZ = state
     G = prob.outer.grad2_cross(Z, Z)
     dVdZ = -2.0 * s * alpha[:, None] * np.einsum("n,npd->pd", alpha, G)
     if dPdZ is not None:
         dVdZ = dVdZ + dPdZ
     grad = np.einsum("djn,nd->jd", prob.B_cd, dVdZ)
     grad += 2.0 * w * np.einsum("djk,kd->jd", prob.B_cc, prob.coeff_matrix(c))
-    return val, grad.ravel(), True
+    return grad.ravel()
+
+
+def _objective_core(c, prob, lam, mu, gamma, want_grad):
+    """(value, gradient, ok) of Int (lam = 0) or Reg (lam > 0); ok=False is the sentinel region."""
+    val, state = _objective_value(c, prob, lam, mu, gamma)
+    grad = _objective_grad(c, prob, state) if want_grad else None
+    return val, grad, state is not None
 
 
 def objective_interp(c, prob, gamma=0.0):
@@ -236,24 +253,37 @@ def outer_fit(c, prob, lam=0.0):
 # Fitting driver
 # -----------------------------
 
-def _cached_objective_pair(core):
-    """f/g callables sharing one value+gradient evaluation per point.
+def _cached_objective_pair(prob, lam, mu, gamma):
+    """f/g callables sharing one value evaluation per point; the gradient is lazy.
 
-    BFGS asks for the gradient exactly where it just evaluated f, so a
-    one-slot cache halves the work without any staleness risk.  The slot is
-    per thread: each restart runs entirely in one thread of the multistart
-    pool, so concurrent restarts never share or evict each other's entry.
+    The strong Wolfe line search evaluates f at every trial point but asks
+    for the gradient only where sufficient decrease holds, and then at the
+    point it just evaluated.  So ``f`` runs stage one and keeps its state
+    in a one-slot cache, and ``g`` runs stage two on that state the first
+    time the gradient is asked for at that point.  The slot is per thread:
+    each restart runs entirely in one thread of the multistart pool, so
+    concurrent restarts never share or evict each other's entry.
     """
-    last = threading.local()
+    slot = threading.local()
 
-    def value_and_grad(c):
+    def at(c):
         key = c.tobytes()
-        if getattr(last, "key", None) != key:
-            last.val, last.grad, _ = core(c)
-            last.key = key
-        return last.val, last.grad
+        if getattr(slot, "key", None) != key:
+            slot.val, slot.state = _objective_value(c, prob, lam, mu, gamma)
+            slot.grad = None
+            slot.key = key
+        return slot
 
-    return (lambda c: value_and_grad(c)[0]), (lambda c: value_and_grad(c)[1])
+    def f(c):
+        return at(c).val
+
+    def g(c):
+        entry = at(c)
+        if entry.grad is None:
+            entry.grad = _objective_grad(c, prob, entry.state)
+        return entry.grad
+
+    return f, g
 
 
 def fit_two_layer(X, y, inner, outer, lam=0.0, mu=0.0, gamma=0.0,
@@ -267,14 +297,13 @@ def fit_two_layer(X, y, inner, outer, lam=0.0, mu=0.0, gamma=0.0,
 
     interpolation = lam == 0.0 and mu == 0.0
     if not interpolation:
-        # checked here: inside a restart this ValueError would be taken for
-        # an unusable starting point
+        # checked once here, before any restart; the core does not check
         check_regularization(lam, mu)
         if gamma != 0.0:
             raise ValueError("the separation penalty is an interpolation-mode device")
     config = config or BfgsConfig()
     prob = TwoLayerProblem(X, y, inner, outer, policy=policy)
-    f, g = _cached_objective_pair(lambda c: _objective_core(c, prob, lam, mu, gamma, want_grad=True))
+    f, g = _cached_objective_pair(prob, lam, mu, gamma)
     result = multistart(f, g, prob.n_coeffs, config, threads=threads)
     c_best = prob.coeff_matrix(result.x)
     # outer coefficients recomputed from scratch at the final c

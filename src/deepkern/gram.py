@@ -64,11 +64,9 @@ def spd_factor(M, policy=DEFAULT_POLICY):
     Returns ``(factor, used_jitter)`` where ``factor`` feeds cho_solve.
     """
     M = np.asarray(M, dtype=float)
-    n = M.shape[0]
-    eye = np.eye(n)
     for jitter in policy.ladder():
         try:
-            f = cho_factor(M + jitter * eye if jitter else M, lower=True)
+            f = cho_factor(M + jitter * np.eye(M.shape[0]) if jitter else M, lower=True)
             return f, jitter
         except LinAlgError:
             continue

@@ -18,7 +18,7 @@ scalar kernels.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -168,11 +168,6 @@ class TensorMaternKernel:
         poly, _ = _matern_polys(self.order)
         return SQRT_HALF_PI * np.exp(-R) * np.polyval(poly, R)
 
-    def _dfactors(self, R):
-        # d/dr [sqrt(pi/2) e^{-r} P(r)] = sqrt(pi/2) e^{-r} (P'(r) - P(r))
-        poly, dpoly = _matern_polys(self.order)
-        return SQRT_HALF_PI * np.exp(-R) * (np.polyval(dpoly, R) - np.polyval(poly, R))
-
     def __call__(self, x, y):
         x, y = _check_pair(self, x, y)
         return float(np.prod(self._factors(np.abs(x - y))))
@@ -186,12 +181,17 @@ class TensorMaternKernel:
         X, Z = _check_points(self, X), _check_points(self, Z)
         diff = Z[None, :, :] - X[:, None, :]
         R = np.abs(diff)
-        F = self._factors(R)
-        dF = self._dfactors(R) * np.sign(diff)
+        poly, dpoly = _matern_polys(self.order)
+        # one exp for both factors: d/dr [E P(r)] = E (P'(r) - P(r))
+        E = SQRT_HALF_PI * np.exp(-R)
+        P = np.polyval(poly, R)
+        F = E * P
+        dF = E * (np.polyval(dpoly, R) - P) * np.sign(diff)
         out = np.empty_like(F)
         for i in range(self.dim):
-            others = [j for j in range(self.dim) if j != i]
-            out[:, :, i] = dF[:, :, i] * np.prod(F[:, :, others], axis=-1)
+            # product over the other coordinates, left to right as np.prod multiplies
+            others = [F[:, :, j] for j in range(self.dim) if j != i]
+            out[:, :, i] = dF[:, :, i] * reduce(np.multiply, others) if others else dF[:, :, i]
         return out
 
 

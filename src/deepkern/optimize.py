@@ -12,6 +12,11 @@ objective for numerically singular Gram matrices; a line-search trial
 hitting it simply fails the sufficient-decrease test, which shrinks the
 step.
 
+A restart whose starting point has a non-finite objective raises
+``InfeasibleStartError`` and is skipped by ``multistart``; any other
+exception from the objective propagates, so a configuration error is not
+reported as "no restart converged".
+
 Everything is deterministic given (seed, config): restart k draws its
 starting point from ``default_rng(seed ^ k)``, and the multistart
 reduction breaks objective ties by the lowest restart index, so results
@@ -28,6 +33,10 @@ _BIG = 1e11   # anything at or above this is treated as a sentinel value
 
 class OptimizationError(RuntimeError):
     pass
+
+
+class InfeasibleStartError(ValueError):
+    """The objective is not finite at a restart's starting point."""
 
 
 @dataclass(frozen=True)
@@ -145,7 +154,7 @@ def bfgs_minimize(f, g, x0, config=BfgsConfig(), restart_index=0):
     x = np.array(x0, dtype=float)
     fx = float(f(x))
     if not np.isfinite(fx):
-        raise ValueError("objective is not finite at the starting point")
+        raise InfeasibleStartError("objective is not finite at the starting point")
     gx = np.asarray(g(x), dtype=float)
     gnorm = float(np.max(np.abs(gx))) if len(gx) else 0.0
     if gnorm <= config.grad_tol:
@@ -203,7 +212,7 @@ def _one_restart(f, g, dim, config, k):
     x0 = config.init_scale * rng.standard_normal(dim)
     try:
         return bfgs_minimize(f, g, x0, config, restart_index=k)
-    except ValueError:
+    except InfeasibleStartError:   # any other error is a bug or a bad config: let it out
         return None
 
 

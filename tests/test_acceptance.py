@@ -218,8 +218,7 @@ class TestCriterion4RepresenterConsistency:
             objs = {}
             for label, centers in (("base", None), ("aug", np.vstack([X, extra]))):
                 prob = TwoLayerProblem(X, y, inner, outer, centers=centers)
-                f, g = _cached_objective_pair(
-                    lambda c, p=prob: interp_value_and_grad(c, p))
+                f, g = _cached_objective_pair(prob, 0.0, 0.0, 0.0)
                 objs[label] = multistart(f, g, prob.n_coeffs, cfg).objective
             rel = (objs["base"] - objs["aug"]) / abs(objs["base"])
             worst = max(worst, rel)

@@ -56,6 +56,17 @@ class TestFit:
         obj = float([l for l in printed.splitlines() if l.startswith("objective=")][0].split("=")[1])
         assert np.isfinite(obj)
 
+    @pytest.mark.parametrize("max_iters, converged", [(1, "False"), (300, "True")])
+    def test_reports_convergence(self, tmp_path, capsys, max_iters, converged):
+        data, _ = write_data(tmp_path, n=6, seed=4)
+        cfg = write_config(tmp_path, {**INTERP_CONFIG,
+                                      "opt": {"restarts": 2, "max_iters": max_iters}})
+        assert main(["fit", "--config", cfg, "--data", data,
+                     "--out", str(tmp_path / "m.json")]) == 0
+        printed = dict(l.split("=", 1) for l in capsys.readouterr().out.splitlines())
+        assert printed["converged"] == converged
+        assert 1 <= int(printed["iterations"]) <= max_iters
+
     def test_malformed_csv_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("x1,x2,y\n0.1,0.2,0.3\nnot,numeric\n")

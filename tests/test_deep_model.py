@@ -12,6 +12,8 @@ from deepkern.deep_model import (
     SENTINEL,
     TwoLayerModel,
     TwoLayerProblem,
+    _cached_objective_pair,
+    _objective_core,
     block_gram,
     fit_two_layer,
     grad_objective_interp,
@@ -35,7 +37,7 @@ from deepkern.kernels import (
     PolyKernel,
     TensorMaternKernel,
 )
-from deepkern.optimize import BfgsConfig, finite_diff_grad
+from deepkern.optimize import BfgsConfig, finite_diff_grad, multistart
 
 POLY1 = DiagScaledKernel(PolyKernel(1, 2), weights=(1.0, 1.0))
 GAUSS_OUT = GaussKernel(1.0, 2)
@@ -328,15 +330,23 @@ class TestFitTwoLayer:
         import sys
         import threading
 
-        from deepkern.deep_model import _cached_objective_pair
-
-        f, g = _cached_objective_pair(lambda c: (float(c[0]), c + 1.0, True))
+        prob = small_problem(n=3, seed=64)
+        f, g = _cached_objective_pair(prob, 0.0, 0.0, 0.0)
+        rng = np.random.default_rng(64)
+        points = [[rng.standard_normal(prob.n_coeffs) for _ in range(3)] for _ in range(4)]
+        want = {c.tobytes(): _objective_core(c, prob, 0.0, 0.0, 0.0, want_grad=True)
+                for pts in points for c in pts}
         wrong = []
 
         def work(k):
-            for i in range(2000):
-                c = np.array([float(k * 10000 + i)])
-                if f(c) != c[0] or g(c)[0] != c[0] + 1.0:
+            for i in range(300):
+                c = points[k][i % 3].copy()
+                if i % 2:
+                    val, grad = f(c), g(c)
+                else:
+                    grad, val = g(c), f(c)
+                w_val, w_grad, _ = want[c.tobytes()]
+                if val != w_val or grad.tobytes() != w_grad.tobytes():
                     wrong.append((k, i))
 
         old = sys.getswitchinterval()
@@ -371,6 +381,80 @@ class TestFitTwoLayer:
         with pytest.raises(ValueError, match="lam > 0 and mu > 0"):
             fit_two_layer(X, rng.standard_normal(4), POLY1, GAUSS_OUT, lam=lam, mu=mu,
                           config=BfgsConfig(restarts=2, max_iters=5))
+
+
+class _CountingGauss(GaussKernel):
+    """Gaussian outer kernel that counts its Gram and derivative evaluations."""
+
+    def __init__(self, sigma, dim):
+        super().__init__(sigma, dim)
+        object.__setattr__(self, "calls", {"cross": 0, "grad2_cross": 0})
+
+    def cross(self, X, Z):
+        self.calls["cross"] += 1
+        return super().cross(X, Z)
+
+    def grad2_cross(self, X, Z):
+        self.calls["grad2_cross"] += 1
+        return super().grad2_cross(X, Z)
+
+
+class TestLazyGradient:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_cached_pair_matches_core(self, data):
+        D = data.draw(st.integers(1, 4), label="D")
+        n = data.draw(st.integers(1, 8), label="N")
+        outer = data.draw(st.one_of(
+            st.builds(PolyKernel, degree=st.integers(1, 3), dim=st.just(D)),
+            st.builds(GaussKernel, sigma=st.floats(0.2, 3.0), dim=st.just(D)),
+            st.builds(TensorMaternKernel, order=st.integers(1, 3), dim=st.just(D)),
+        ), label="outer")
+        scalar = st.sampled_from([PolyKernel(1, 2), GaussKernel(0.8, 2), TensorMaternKernel(2, 2)])
+        inner = data.draw(st.one_of(
+            st.builds(DiagScaledKernel, scalar=scalar,
+                      weights=st.lists(st.floats(0.1, 3.0), min_size=D, max_size=D)),
+            st.builds(DiagMixtureKernel, components=st.lists(scalar, min_size=D, max_size=D)),
+        ), label="inner")
+        lam, mu, gamma = data.draw(st.sampled_from(
+            [(0.0, 0.0, 0.0), (0.0, 0.0, 0.5), (0.3, 0.1, 0.0)]), label="lam, mu, gamma")
+        prob = small_problem(n=n, seed=data.draw(st.integers(0, 2**16), label="seed"),
+                             inner=inner, outer=outer)
+        coeffs = arrays(float, (prob.n_coeffs,), elements=st.floats(-2.0, 2.0))
+        c1 = data.draw(coeffs, label="c1")
+        if data.draw(st.booleans(), label="sentinel"):
+            c1 = 1e200 * c1
+        c2 = data.draw(coeffs, label="c2")
+        order = data.draw(st.sampled_from(["f, g", "g first", "f only, then move"]), label="order")
+
+        f, g = _cached_objective_pair(prob, lam, mu, gamma)
+        if order == "f, g":
+            got = [(c1, f(c1), g(c1))]
+        elif order == "g first":
+            g1 = g(c1)
+            got = [(c1, f(c1), g1)]
+        else:   # a value-only evaluation, then a move away and back
+            v1, v2 = f(c1), f(c2)
+            got = [(c2, v2, g(c2)), (c1, v1, g(c1))]
+        for c, val, grad in got:
+            w_val, w_grad, _ = _objective_core(c, prob, lam, mu, gamma, want_grad=True)
+            # bitwise, so a NaN value (an overflowed inner norm) compares too
+            assert np.float64(val).tobytes() == np.float64(w_val).tobytes()
+            assert grad.tobytes() == w_grad.tobytes()
+
+    def test_gradient_only_where_requested(self):
+        outer = _CountingGauss(1.0, 2)
+        prob = small_problem(n=6, seed=71, outer=outer)
+        f, g = _cached_objective_pair(prob, 0.0, 0.0, 0.0)
+        g_points = set()
+
+        def g_logged(c):
+            g_points.add(c.tobytes())
+            return g(c)
+
+        multistart(f, g_logged, prob.n_coeffs, BfgsConfig(restarts=4, max_iters=40, seed=71))
+        assert outer.calls["grad2_cross"] == len(g_points)
+        assert outer.calls["grad2_cross"] < outer.calls["cross"]
 
 
 class TestPredictTwoLayer:

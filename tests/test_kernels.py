@@ -12,6 +12,7 @@ from deepkern.kernels import (
     GaussKernel,
     PolyKernel,
     TensorMaternKernel,
+    _matern_polys,
     bessel_k_half,
     matrix_from_params,
     matrix_to_params,
@@ -207,6 +208,35 @@ class TestScalarGradients:
             for i in range(3):
                 for j in range(4):
                     np.testing.assert_allclose(G[i, j], grad2(kernel, X[i], Z[j]), rtol=1e-12)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_matern_grad2_cross_matches_product_of_others(self, order, dim):
+        def reference(kernel, X, Z):
+            # separate exps for the factors and their derivatives, and a
+            # fancy-indexed copy of the other coordinates fed to np.prod
+            poly, dpoly = _matern_polys(kernel.order)
+            diff = Z[None, :, :] - X[:, None, :]
+            R = np.abs(diff)
+            F = SQRT_HALF_PI * np.exp(-R) * np.polyval(poly, R)
+            dF = (SQRT_HALF_PI * np.exp(-R) * (np.polyval(dpoly, R) - np.polyval(poly, R))
+                  * np.sign(diff))
+            out = np.empty_like(F)
+            for i in range(kernel.dim):
+                others = [j for j in range(kernel.dim) if j != i]
+                out[:, :, i] = dF[:, :, i] * np.prod(F[:, :, others], axis=-1)
+            return out
+
+        kernel = TensorMaternKernel(order, dim)
+        rng = np.random.default_rng(100 * order + dim)
+        for n, m, scale in ((30, 30, 1.0), (50, 40, 3.0), (100, 100, 0.2)):
+            X = rng.standard_normal((n, dim))
+            Z = scale * rng.standard_normal((m, dim))
+            Z[:3] = X[:3]              # coincident points
+            Z[5, 0] = X[5, 0]          # one coincident coordinate (sign 0)
+            got, want = kernel.grad2_cross(X, Z), reference(kernel, X, Z)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 class TestMatrixKernels:

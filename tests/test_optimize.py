@@ -5,6 +5,7 @@ import pytest
 
 from deepkern.optimize import (
     BfgsConfig,
+    InfeasibleStartError,
     OptimizationError,
     bfgs_minimize,
     finite_diff_grad,
@@ -226,6 +227,19 @@ class TestMultistart:
             rng = np.random.default_rng(cfg.seed ^ k)
             res = bfgs_minimize(f, g, rng.standard_normal(2), cfg, restart_index=k)
             assert best.objective <= res.objective + 1e-15
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_config_error_in_a_restart_propagates(self, threads):
+        def f(x):
+            raise ValueError("bad config")
+
+        with pytest.raises(ValueError, match="bad config"):
+            multistart(f, lambda x: np.zeros(1), 1, BfgsConfig(restarts=3, seed=0),
+                       threads=threads)
+
+    def test_nonfinite_start_is_an_infeasible_start(self):
+        with pytest.raises(InfeasibleStartError):
+            bfgs_minimize(lambda x: float("inf"), lambda x: np.zeros(1), np.array([1.0]))
 
     def test_all_failures_raise(self):
         with pytest.raises(OptimizationError):
