@@ -33,7 +33,6 @@ from .experiments import (
 )
 from .gram import (
     SingularMatrixError,
-    SpdSolvePolicy,
     energy_quadratic_form,
     gram,
     solve_interpolation,

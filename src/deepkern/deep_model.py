@@ -26,9 +26,12 @@ objective+gradient evaluation costs O(N^3 D + (N D)^2).  The fitting
 driver runs the second stage only at points where the line search asks
 for the gradient.
 
-A numerically singular or non-finite Q maps to the finite SENTINEL value
-(with a zero gradient and ok=False) so line searches can retreat instead
-of aborting.
+Every infeasible point has the value SENTINEL = inf, a zero gradient and
+ok=False: a non-finite Q, a Q that is singular up to the largest jitter,
+coincident mapped points under the separation penalty, and any other
+non-finite value (an overflowed inner norm, say).  The line search treats
+an infinite trial as a failed one and retreats; an infinite starting point
+makes the restart infeasible, so a fit with no feasible start fails.
 
 Models are saved as one JSON object (``MODEL_FORMAT``); ``load_model``
 rejects files with a wrong format tag, missing keys, inconsistent shapes
@@ -42,10 +45,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gram import DEFAULT_POLICY, SingularMatrixError, spd_solve
+from .gram import SingularMatrixError, spd_solve
 from .kernels import matrix_from_params, matrix_to_params, scalar_from_params, scalar_to_params
 
-SENTINEL = 1e12
+SENTINEL = math.inf   # the value of every infeasible point
 
 
 # -----------------------------
@@ -59,7 +62,7 @@ class TwoLayerProblem:
     the inner search space (used to probe the representer property).
     """
 
-    def __init__(self, X, y, inner, outer, centers=None, policy=DEFAULT_POLICY):
+    def __init__(self, X, y, inner, outer, centers=None):
         self.X = np.atleast_2d(np.asarray(X, dtype=float))
         self.y = np.asarray(y, dtype=float)
         if len(self.y) != len(self.X):
@@ -70,7 +73,6 @@ class TwoLayerProblem:
             raise ValueError("outer kernel dimension must equal the inner output dimension")
         self.inner = inner
         self.outer = outer
-        self.policy = policy
         self.centers = self.X if centers is None else np.atleast_2d(np.asarray(centers, dtype=float))
         # (D, Nc, N) center-to-data and (D, Nc, Nc) center-to-center Gram stacks
         self.B_cd = inner.diag_cross(self.centers, self.X)
@@ -130,23 +132,24 @@ def block_gram(inner, X):
 
 
 def penalty_coth(c, prob, gamma):
-    """Separation penalty gamma * sum_{m<n} coth(|g(x_m) - g(x_n)|^2); SENTINEL on coincidence."""
+    """Separation penalty gamma * sum_{m<n} coth(|g(x_m) - g(x_n)|^2); SENTINEL near coincidence."""
     return _penalty_terms(prob.images(c), gamma)[0] if gamma else 0.0
 
 
 def _penalty_terms(Z, gamma):
     """Penalty value and its gradient with respect to the mapped points."""
-    n = len(Z)
-    diff = Z[:, None, :] - Z[None, :, :]
-    d2 = np.sum(diff**2, axis=-1)
-    iu = np.triu_indices(n, k=1)
-    if np.any(d2[iu] == 0.0):
-        return SENTINEL, None
-    val = gamma * np.sum(1.0 / np.tanh(d2[iu]))
-    with np.errstate(over="ignore", divide="ignore"):
+    iu = np.triu_indices(len(Z), k=1)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        diff = Z[:, None, :] - Z[None, :, :]
+        d2 = np.sum(diff**2, axis=-1)
+        val = gamma * np.sum(1.0 / np.tanh(d2[iu]))
         w = 1.0 / np.sinh(d2) ** 2          # csch^2, underflows to 0 for far pairs
-    np.fill_diagonal(w, 0.0)                # diagonal d2 = 0 is not a pair
-    dPdZ = -2.0 * gamma * np.einsum("mn,mnd->md", w, diff)
+        np.fill_diagonal(w, 0.0)            # diagonal d2 = 0 is not a pair
+        dPdZ = -2.0 * gamma * np.einsum("mn,mnd->md", w, diff)
+    # a coincident pair gives inf * 0 = NaN, and a pair with d2 below about
+    # 1e-154 overflows csch^2: both are infeasible
+    if not np.all(np.isfinite(dPdZ)):
+        return SENTINEL, None
     return float(val), dPdZ
 
 
@@ -164,7 +167,7 @@ def _objective_value(c, prob, lam, mu, gamma):
     """Stage one: (value, state) of Int (lam = 0) or Reg (lam > 0).
 
     ``state`` is (Z, alpha, s, w, dPdZ), everything ``_objective_grad``
-    needs, or None in the sentinel region, where the value is SENTINEL.
+    needs, or None at an infeasible point, where the value is SENTINEL.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         Z = prob.images(c)
@@ -173,7 +176,7 @@ def _objective_value(c, prob, lam, mu, gamma):
     if not np.all(np.isfinite(Q)):   # overflowed images, e.g. runaway line-search trial
         return SENTINEL, None
     try:
-        alpha, _ = spd_solve(Q + lam * np.eye(len(Q)) if lam else Q, prob.y, prob.policy)
+        alpha, _ = spd_solve(Q + lam * np.eye(len(Q)) if lam else Q, prob.y)
     except SingularMatrixError:      # for lam > 0 unreachable in exact arithmetic
         return SENTINEL, None
     if lam:   # lam alpha^T Q alpha + |y - Q alpha|^2, weights (s, w) = (lam, mu)
@@ -189,6 +192,8 @@ def _objective_value(c, prob, lam, mu, gamma):
         if dPdZ is None:
             return SENTINEL, None
         val += pen
+    if not math.isfinite(val):       # e.g. an overflowed inner norm or coth
+        return SENTINEL, None
     return val, (Z, alpha, s, w, dPdZ)
 
 
@@ -214,7 +219,7 @@ def _objective_core(c, prob, lam, mu, gamma, want_grad):
 
 
 def objective_interp(c, prob, gamma=0.0):
-    """y^T Q(c)^{-1} y + N(c) (+ penalty); SENTINEL when Q is numerically singular."""
+    """y^T Q(c)^{-1} y + N(c) (+ penalty); SENTINEL at an infeasible point."""
     return _objective_core(c, prob, 0.0, 0.0, gamma, want_grad=False)[0]
 
 
@@ -245,7 +250,7 @@ def outer_fit(c, prob, lam=0.0):
     Q = q_matrix(c, prob)
     if lam:
         Q = Q + lam * np.eye(len(Q))
-    alpha, _ = spd_solve(Q, prob.y, prob.policy)
+    alpha, _ = spd_solve(Q, prob.y)
     return alpha
 
 
@@ -287,7 +292,7 @@ def _cached_objective_pair(prob, lam, mu, gamma):
 
 
 def fit_two_layer(X, y, inner, outer, lam=0.0, mu=0.0, gamma=0.0,
-                  config=None, threads=1, policy=DEFAULT_POLICY):
+                  config=None, threads=1):
     """Fit a two-layer model by multistart BFGS on (Int) or (Reg).
 
     lam = mu = 0 selects interpolation; otherwise both must be positive.
@@ -302,7 +307,7 @@ def fit_two_layer(X, y, inner, outer, lam=0.0, mu=0.0, gamma=0.0,
         if gamma != 0.0:
             raise ValueError("the separation penalty is an interpolation-mode device")
     config = config or BfgsConfig()
-    prob = TwoLayerProblem(X, y, inner, outer, policy=policy)
+    prob = TwoLayerProblem(X, y, inner, outer)
     f, g = _cached_objective_pair(prob, lam, mu, gamma)
     result = multistart(f, g, prob.n_coeffs, config, threads=threads)
     c_best = prob.coeff_matrix(result.x)

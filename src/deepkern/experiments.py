@@ -24,7 +24,7 @@ from .kernels import scalar_from_params, scalar_to_params
 from .optimize import BfgsConfig
 from .single_layer import fit_single, predict_single
 
-DEFAULT_DOMAIN = ((-1.0, 1.0), (-1.0, 1.0))
+DOMAIN = ((-1.0, 1.0), (-1.0, 1.0))   # the box [-1, 1]^2 of both test functions
 
 _STREAM_TAGS = {"sampling": 0x5A01, "init": 0x5A02, "folds": 0x5A03}
 
@@ -71,7 +71,6 @@ def eval_test_function(name, point):
 @dataclass(frozen=True)
 class SamplingPlan:
     n_samples: int = 100
-    domain: tuple = DEFAULT_DOMAIN
     noise_sigma: float = 0.01
     seed: int = 0
 
@@ -89,11 +88,11 @@ class Dataset:
 
 
 def sample_dataset(tf, plan):
-    """Uniform points on the box with additive Gaussian noise on the targets."""
+    """Uniform points on DOMAIN with additive Gaussian noise on the targets."""
     rng = stream_rng(plan.seed, "sampling")
-    lo = np.array([b[0] for b in plan.domain])
-    hi = np.array([b[1] for b in plan.domain])
-    X = rng.uniform(lo, hi, size=(plan.n_samples, len(plan.domain)))
+    lo = np.array([b[0] for b in DOMAIN])
+    hi = np.array([b[1] for b in DOMAIN])
+    X = rng.uniform(lo, hi, size=(plan.n_samples, len(DOMAIN)))
     noise = plan.noise_sigma * rng.standard_normal(plan.n_samples)
     y = TEST_FUNCTIONS[tf](X) + noise
     return Dataset(X=X, y=y)
@@ -102,16 +101,15 @@ def sample_dataset(tf, plan):
 @dataclass(frozen=True)
 class EvalGrid:
     meshwidth: float = 1.0 / 50.0
-    domain: tuple = DEFAULT_DOMAIN
 
     def axis_points(self, i):
-        lo, hi = self.domain[i]
+        lo, hi = DOMAIN[i]
         count = int(round((hi - lo) / self.meshwidth)) + 1
         return np.linspace(lo, hi, count)
 
     def points(self):
         """All grid points in row-major order, shape (n_t, d)."""
-        axes = [self.axis_points(i) for i in range(len(self.domain))]
+        axes = [self.axis_points(i) for i in range(len(DOMAIN))]
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
@@ -136,15 +134,12 @@ class CvPlan:
     lambda_grid: tuple = tuple(dyadic_grid())
     mu_grid: tuple = tuple(dyadic_grid())
     seed: int = 0
-    metric: str = "holdout_mse"   # or "train_objective"
 
     def __post_init__(self):
         if self.folds < 2:
             raise ValueError("need at least two folds")
         if not self.lambda_grid or not self.mu_grid:
             raise ValueError("parameter grids must be nonempty")
-        if self.metric not in ("holdout_mse", "train_objective"):
-            raise ValueError(f"unknown CV metric {self.metric!r}")
         object.__setattr__(self, "lambda_grid", tuple(float(v) for v in self.lambda_grid))
         object.__setattr__(self, "mu_grid", tuple(float(v) for v in self.mu_grid))
 
@@ -173,10 +168,8 @@ class CvResult:
 def cross_validate(dataset, inner, outer, cv_plan, config, threads=1):
     """Grid search over (lambda, mu) with k-fold validation.
 
-    Scores are held-out mean squared prediction errors by default; the
-    ``train_objective`` metric instead ranks pairs by the achieved
-    regression objective on the training folds.  Ties go to the larger
-    (lambda, mu) pair, i.e. the stronger regularization.
+    Scores are held-out mean squared prediction errors.  Ties go to the
+    larger (lambda, mu) pair, i.e. the stronger regularization.
     """
     blocks = fold_blocks(len(dataset.y), cv_plan.folds, stream_rng(cv_plan.seed, "folds"))
     n_lam, n_mu = len(cv_plan.lambda_grid), len(cv_plan.mu_grid)
@@ -186,15 +179,12 @@ def cross_validate(dataset, inner, outer, cv_plan, config, threads=1):
             for k, held_out in enumerate(blocks):
                 mask = np.ones(len(dataset.y), dtype=bool)
                 mask[held_out] = False
-                model, result = fit_two_layer(
+                model, _ = fit_two_layer(
                     dataset.X[mask], dataset.y[mask], inner, outer,
                     lam=lam, mu=mu, config=config, threads=threads,
                 )
-                if cv_plan.metric == "holdout_mse":
-                    preds = predict_two_layer(model, dataset.X[held_out])
-                    scores[il, im, k] = float(np.mean((preds - dataset.y[held_out]) ** 2))
-                else:
-                    scores[il, im, k] = result.objective
+                preds = predict_two_layer(model, dataset.X[held_out])
+                scores[il, im, k] = float(np.mean((preds - dataset.y[held_out]) ** 2))
     mean_scores = scores.mean(axis=-1)
     best = None
     for il, lam in enumerate(cv_plan.lambda_grid):

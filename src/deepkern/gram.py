@@ -1,52 +1,29 @@
 """Gram matrices and symmetric positive-definite solves.
 
 Every linear solve in the package goes through ``spd_solve``: a Cholesky
-factorization with an escalating diagonal jitter.  The first attempt uses
-no jitter at all, so well-conditioned systems are solved exactly as
-assembled; a semidefinite matrix (e.g. two coincident data points) picks
-up the smallest jitter that lets the factorization succeed.  Solutions get
-one step of iterative refinement, which keeps residuals near machine
-precision even close to the jitter boundary.
+factorization with an escalating diagonal jitter, one rung of ``JITTERS``
+at a time.  The first rung is no jitter at all, so well-conditioned
+systems are solved exactly as assembled; a semidefinite matrix (e.g. two
+coincident data points) picks up the smallest jitter that lets the
+factorization succeed, and a matrix that fails at 1e-6 raises
+``SingularMatrixError``.  Solutions get one step of iterative refinement,
+which keeps residuals near machine precision even close to the jitter
+boundary.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 
 class SingularMatrixError(RuntimeError):
-    """Factorization failed for every jitter allowed by the policy."""
+    """Factorization failed for every jitter in ``JITTERS``."""
 
     def __init__(self, message, cond_estimate=None):
         super().__init__(message)
         self.cond_estimate = cond_estimate
 
 
-@dataclass(frozen=True)
-class SpdSolvePolicy:
-    jitter_start: float = 1e-12
-    jitter_max: float = 1e-6
-    growth: float = 10.0
-
-    def __post_init__(self):
-        if not (0.0 < self.jitter_start <= self.jitter_max):
-            raise ValueError("need 0 < jitter_start <= jitter_max")
-        if not (self.growth > 1.0):
-            raise ValueError("growth must exceed 1")
-
-    def ladder(self):
-        """Jitter values to try, starting with none at all."""
-        out = [0.0]
-        j = self.jitter_start
-        while j < self.jitter_max:
-            out.append(j)
-            j *= self.growth
-        out.append(self.jitter_max)
-        return out
-
-
-DEFAULT_POLICY = SpdSolvePolicy()
+JITTERS = (0.0, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 
 
 def gram(kernel, X, Z=None):
@@ -58,13 +35,13 @@ def gram(kernel, X, Z=None):
     return kernel.cross(X, np.atleast_2d(np.asarray(Z, dtype=float)))
 
 
-def spd_factor(M, policy=DEFAULT_POLICY):
+def spd_factor(M):
     """Cholesky factor of M + jitter*I, escalating jitter until it succeeds.
 
     Returns ``(factor, used_jitter)`` where ``factor`` feeds cho_solve.
     """
     M = np.asarray(M, dtype=float)
-    for jitter in policy.ladder():
+    for jitter in JITTERS:
         try:
             f = cho_factor(M + jitter * np.eye(M.shape[0]) if jitter else M, lower=True)
             return f, jitter
@@ -72,17 +49,17 @@ def spd_factor(M, policy=DEFAULT_POLICY):
             continue
     cond = float(np.linalg.cond(M)) if np.all(np.isfinite(M)) else np.inf
     raise SingularMatrixError(
-        f"matrix not positive definite up to jitter {policy.jitter_max:g} "
+        f"matrix not positive definite up to jitter {JITTERS[-1]:g} "
         f"(condition estimate {cond:.3e})",
         cond_estimate=cond,
     )
 
 
-def spd_solve(M, b, policy=DEFAULT_POLICY):
+def spd_solve(M, b):
     """Solve (M + jitter*I) x = b, reporting the jitter actually used."""
     M = np.asarray(M, dtype=float)
     b = np.asarray(b, dtype=float)
-    factor, jitter = spd_factor(M, policy)
+    factor, jitter = spd_factor(M)
     Mj = M + jitter * np.eye(M.shape[0]) if jitter else M
     x = cho_solve(factor, b)
     # one refinement pass; negligible cost next to the factorization
@@ -90,23 +67,23 @@ def spd_solve(M, b, policy=DEFAULT_POLICY):
     return x, jitter
 
 
-def solve_interpolation(kernel, X, y, policy=DEFAULT_POLICY):
+def solve_interpolation(kernel, X, y):
     """Coefficients alpha with M_{X,X} alpha = y."""
-    alpha, _ = spd_solve(gram(kernel, X), y, policy)
+    alpha, _ = spd_solve(gram(kernel, X), y)
     return alpha
 
 
-def solve_ridge(kernel, X, y, lam, policy=DEFAULT_POLICY):
+def solve_ridge(kernel, X, y, lam):
     """Coefficients alpha with (M_{X,X} + lam*I) alpha = y, lam > 0."""
     if not (lam > 0.0):
         raise ValueError("ridge parameter must be positive")
     M = gram(kernel, X)
-    alpha, _ = spd_solve(M + lam * np.eye(M.shape[0]), y, policy)
+    alpha, _ = spd_solve(M + lam * np.eye(M.shape[0]), y)
     return alpha
 
 
-def energy_quadratic_form(M, y, policy=DEFAULT_POLICY):
+def energy_quadratic_form(M, y):
     """y^T M^{-1} y without forming the inverse."""
     y = np.asarray(y, dtype=float)
-    x, _ = spd_solve(M, y, policy)
+    x, _ = spd_solve(M, y)
     return float(y @ x)

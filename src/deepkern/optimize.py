@@ -7,10 +7,10 @@ eq. 6.17, expanded into one matrix-vector product and rank-one outer
 products, so an update costs O(n^2) rather than the O(n^3) of forming
 ``V H V^T``.
 
-Objectives may return the large finite sentinel used by the interpolation
-objective for numerically singular Gram matrices; a line-search trial
-hitting it simply fails the sufficient-decrease test, which shrinks the
-step.
+An objective marks an infeasible point (a numerically singular Gram
+matrix, say) with the value inf; a line-search trial there fails like any
+other non-finite trial, which shrinks the step.  The line search uses the
+Wolfe constants c1 = 1e-4 and c2 = 0.9 of Nocedal & Wright (section 3.1).
 
 A restart whose starting point has a non-finite objective raises
 ``InfeasibleStartError`` and is skipped by ``multistart``; any other
@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_BIG = 1e11   # anything at or above this is treated as a sentinel value
+WOLFE_C1 = 1e-4   # sufficient decrease
+WOLFE_C2 = 0.9    # curvature
 
 
 class OptimizationError(RuntimeError):
@@ -43,15 +44,10 @@ class InfeasibleStartError(ValueError):
 class BfgsConfig:
     max_iters: int = 500
     grad_tol: float = 1e-6        # infinity norm
-    wolfe_c1: float = 1e-4
-    wolfe_c2: float = 0.9
     restarts: int = 64
-    init_scale: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
-        if not (0.0 < self.wolfe_c1 < self.wolfe_c2 < 1.0):
-            raise ValueError("need 0 < c1 < c2 < 1")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
         if self.seed < 0:
@@ -91,7 +87,7 @@ def _zoom(feval, geval, alo, flo, dlo, ahi, fhi, dhi, f0, dphi0, c1, c2, max_ite
         if width <= 1e-16 * max(1.0, abs(alo)):
             return None
         a = None
-        usable = np.isfinite(flo) and np.isfinite(fhi) and flo < _BIG and fhi < _BIG
+        usable = np.isfinite(flo) and np.isfinite(fhi)
         if usable and dhi is not None:
             a = _cubic_step(alo, flo, dlo, ahi, fhi, dhi)
         elif usable:
@@ -183,7 +179,7 @@ def bfgs_minimize(f, g, x0, config=BfgsConfig(), restart_index=0):
             ga = np.asarray(g(x + a * p), dtype=float)
             return ga, float(ga @ p)
 
-        ls = _strong_wolfe(feval, geval, fx, dphi0, config.wolfe_c1, config.wolfe_c2)
+        ls = _strong_wolfe(feval, geval, fx, dphi0, WOLFE_C1, WOLFE_C2)
         if ls is None:
             break
         a, f_new, g_new = ls
@@ -209,7 +205,7 @@ def bfgs_minimize(f, g, x0, config=BfgsConfig(), restart_index=0):
 
 def _one_restart(f, g, dim, config, k):
     rng = np.random.default_rng(config.seed ^ k)
-    x0 = config.init_scale * rng.standard_normal(dim)
+    x0 = rng.standard_normal(dim)
     try:
         return bfgs_minimize(f, g, x0, config, restart_index=k)
     except InfeasibleStartError:   # any other error is a bug or a bad config: let it out

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gram import DEFAULT_POLICY, gram, solve_interpolation, solve_ridge
+from .gram import gram, solve_interpolation, solve_ridge
 
 
 @dataclass(frozen=True)
@@ -19,7 +19,7 @@ class SingleLayerModel:
             raise ValueError("alpha and centers lengths differ")
 
 
-def fit_single(kernel, X, y, lam=0.0, policy=DEFAULT_POLICY):
+def fit_single(kernel, X, y, lam=0.0):
     """Fit sum_i alpha_i K(x_i, .) by solving (M + lam*I) alpha = y."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -28,9 +28,9 @@ def fit_single(kernel, X, y, lam=0.0, policy=DEFAULT_POLICY):
     if len(y) != len(X):
         raise ValueError("X and y lengths differ")
     if lam == 0.0:
-        alpha = solve_interpolation(kernel, X, y, policy)
+        alpha = solve_interpolation(kernel, X, y)
     else:
-        alpha = solve_ridge(kernel, X, y, lam, policy)
+        alpha = solve_ridge(kernel, X, y, lam)
     return SingleLayerModel(kernel=kernel, centers=X, alpha=alpha, lam=float(lam))
 
 

@@ -307,15 +307,23 @@ class TestExitCodes:
         assert code == 3
         assert "gradient check failed" in capsys.readouterr().err
 
+    def test_fit_with_no_feasible_restart_exits_3(self, tmp_path, capsys):
+        # a duplicated point maps to coincident images for every c, where the
+        # separation penalty makes every restart start infeasible
+        (tmp_path / "dup.csv").write_text(
+            "x1,x2,y\n0.1,0.2,1.0\n-0.4,0.5,0.0\n0.1,0.2,1.0\n0.7,-0.3,2.0\n")
+        cfg = write_config(tmp_path, {**INTERP_CONFIG, "gamma": 0.5})
+        out = tmp_path / "m.json"
+        code = main(["fit", "--config", cfg, "--data", str(tmp_path / "dup.csv"),
+                     "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "no restart produced a finite objective" in captured.err
+        assert "converged=" not in captured.out
+        assert not out.exists()
+
 
 class TestThreads:
-    def test_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("DEEPKERN_THREADS", "1")
-        data, _ = write_data(tmp_path, n=6, seed=12)
-        cfg = write_config(tmp_path, INTERP_CONFIG)
-        out = str(tmp_path / "model.txt")
-        assert main(["--threads", "8", "fit", "--config", cfg, "--data", data, "--out", out]) == 0
-
     def test_threaded_fit_matches_sequential(self, tmp_path):
         data, _ = write_data(tmp_path, n=8, seed=13)
         cfg = write_config(tmp_path, INTERP_CONFIG)

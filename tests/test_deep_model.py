@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -438,7 +438,7 @@ class TestLazyGradient:
             got = [(c2, v2, g(c2)), (c1, v1, g(c1))]
         for c, val, grad in got:
             w_val, w_grad, _ = _objective_core(c, prob, lam, mu, gamma, want_grad=True)
-            # bitwise, so a NaN value (an overflowed inner norm) compares too
+            # bitwise, so a NaN value would compare too
             assert np.float64(val).tobytes() == np.float64(w_val).tobytes()
             assert grad.tobytes() == w_grad.tobytes()
 
@@ -455,6 +455,52 @@ class TestLazyGradient:
         multistart(f, g_logged, prob.n_coeffs, BfgsConfig(restarts=4, max_iters=40, seed=71))
         assert outer.calls["grad2_cross"] == len(g_points)
         assert outer.calls["grad2_cross"] < outer.calls["cross"]
+
+
+_FEASIBILITY_OUTER = {
+    "poly1": lambda D: PolyKernel(1, D),
+    "poly3": lambda D: PolyKernel(3, D),
+    "gauss": lambda D: GaussKernel(1.0, D),
+    "matern1": lambda D: TensorMaternKernel(1, D),
+    "matern3": lambda D: TensorMaternKernel(3, D),
+}
+_FEASIBILITY_INNER = {"poly": PolyKernel(1, 2), "gauss": GaussKernel(0.8, 2),
+                      "matern": TensorMaternKernel(2, 2)}
+
+
+class TestFeasibility:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        outer=st.sampled_from(sorted(_FEASIBILITY_OUTER)),
+        inner=st.sampled_from(sorted(_FEASIBILITY_INNER)),
+        D=st.integers(1, 3),
+        n=st.integers(2, 6),
+        seed=st.integers(0, 2**16),
+        mode=st.sampled_from([(0.0, 0.0, 0.0), (0.0, 0.0, 0.5), (0.3, 0.1, 0.0)]),
+        scale=st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 10.0), st.integers(-320, 300)),
+        unit=st.lists(st.floats(-2.0, 2.0), min_size=18, max_size=18),
+    )
+    # an overflowed inner norm with finite images
+    @example(outer="gauss", inner="poly", D=2, n=3, seed=0, mode=(0.0, 0.0, 0.0),
+             scale=1e200, unit=[1.0] * 18)
+    # images 1e-158 apart: the coth of their subnormal squared distance overflows
+    @example(outer="poly1", inner="poly", D=1, n=3, seed=0, mode=(0.0, 0.0, 0.5),
+             scale=1.05954229e-158, unit=[1.0] * 18)
+    # images 1e-100 apart: the coth is finite, its derivative csch^2 overflows
+    @example(outer="poly1", inner="poly", D=1, n=3, seed=0, mode=(0.0, 0.0, 0.5),
+             scale=1e-100, unit=[1.0] * 18)
+    def test_ok_means_finite_value_and_gradient(self, outer, inner, D, n, seed, mode, scale, unit):
+        prob = small_problem(n=n, seed=seed, outer=_FEASIBILITY_OUTER[outer](D),
+                             inner=DiagScaledKernel(_FEASIBILITY_INNER[inner], weights=(1.0,) * D))
+        c = scale * np.array(unit[:prob.n_coeffs])
+        lam, mu, gamma = mode
+        val, grad, ok = _objective_core(c, prob, lam, mu, gamma, want_grad=True)
+        if ok:
+            assert math.isfinite(val)
+            assert np.all(np.isfinite(grad))
+        else:
+            assert val == SENTINEL
+            np.testing.assert_array_equal(grad, np.zeros(prob.n_coeffs))
 
 
 class TestPredictTwoLayer:

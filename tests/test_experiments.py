@@ -142,13 +142,6 @@ class TestCrossValidate:
         im = cv.mu_grid.index(cv.best_mu)
         assert cv.mean_scores[il, im] <= 1e-4
 
-    def test_train_objective_metric(self):
-        ds = linear_dataset(n=12, seed=9)
-        plan = CvPlan(folds=3, lambda_grid=(0.1,), mu_grid=(0.1,), seed=3,
-                      metric="train_objective")
-        cv = cross_validate(ds, POLY1, PolyKernel(1, 2), plan, BfgsConfig(restarts=2, seed=3))
-        assert np.all(np.isfinite(cv.fold_scores))
-
 
 class TestBaselineSanity:
     def test_single_layer_interpolation_reproduces_noisy_targets(self):

@@ -1,13 +1,14 @@
 """Gram assembly, jittered SPD solves, and the inverse-derivative identity."""
 
+import importlib
 import math
 
 import numpy as np
 import pytest
 
 from deepkern.gram import (
+    JITTERS,
     SingularMatrixError,
-    SpdSolvePolicy,
     energy_quadratic_form,
     gram,
     solve_interpolation,
@@ -17,6 +18,9 @@ from deepkern.gram import (
 from deepkern.kernels import GaussKernel, PolyKernel, TensorMaternKernel
 
 SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
+
+# the package re-exports the function gram, which shadows the module attribute
+gram_module = importlib.import_module("deepkern.gram")
 
 
 def random_spd(rng, n):
@@ -88,9 +92,29 @@ class TestSpdSolve:
             spd_solve(M, np.array([1.0, 1.0]))
         assert info.value.cond_estimate is not None
 
-    def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            SpdSolvePolicy(jitter_start=1e-3, jitter_max=1e-6)
+    def test_indefinite_tries_each_jitter_once(self, monkeypatch):
+        attempts = []
+        cho_factor = gram_module.cho_factor
+
+        def counting_cho_factor(*args, **kwargs):
+            attempts.append(args[0])
+            return cho_factor(*args, **kwargs)
+
+        monkeypatch.setattr(gram_module, "cho_factor", counting_cho_factor)
+        with pytest.raises(SingularMatrixError, match="1e-06"):
+            spd_solve(np.array([[1.0, 0.0], [0.0, -1.0]]), np.array([1.0, 1.0]))
+        assert len(attempts) == len(JITTERS) == 8
+
+    def test_jitter_ladder_rungs(self):
+        assert JITTERS[0] == 0.0
+        assert list(JITTERS) == sorted(set(JITTERS))    # strictly increasing, no duplicate rung
+        rng = np.random.default_rng(3)
+        for scale in (0.0, 1e-13, 1e-9, 1e-7):
+            v = rng.standard_normal(4)
+            M = np.outer(v, v) - scale * np.eye(4)   # rank one, shifted below zero by scale
+            _, jitter = spd_solve(M, v)
+            assert jitter in JITTERS
+            assert jitter > scale
 
 
 class TestSolvers:
