@@ -13,10 +13,10 @@ from deepkern import (
     TensorMaternKernel,
     bessel_k_half,
     energy_quadratic_form,
-    gram,
     solve_interpolation,
     spd_solve,
 )
+from deepkern.gram import gram
 
 x = np.array([0.3, -0.4])
 y = np.array([-0.1, 0.5])

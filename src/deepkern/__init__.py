@@ -13,7 +13,6 @@ from .deep_model import (
     mlmkl_equivalence_check,
     objective_interp,
     objective_reg,
-    outer_fit,
     penalty_coth,
     predict_two_layer,
     q_matrix,
@@ -34,7 +33,6 @@ from .experiments import (
 from .gram import (
     SingularMatrixError,
     energy_quadratic_form,
-    gram,
     solve_interpolation,
     solve_ridge,
     spd_solve,

@@ -5,6 +5,11 @@ Exit codes follow one convention everywhere: 0 success, 2 bad input
 (config, CSV, dimensions), 3 numerical failure (singular system, failed
 optimization, no feasible restart).  All randomness derives from the
 single config/flag seed, so every command is reproducible.
+
+``fit``, ``cv`` and ``gradcheck`` read a config through the same helpers,
+and ``gradcheck`` checks the very (f, g) pair that ``fit`` minimizes, at
+the config's mode, (lambda, mu) and gamma; where ``fit`` would choose
+(lambda, mu) by cross-validation, it checks at lambda = mu = 1.
 """
 
 import argparse
@@ -15,13 +20,10 @@ import sys
 
 from .deep_model import (
     TwoLayerProblem,
+    _cached_objective_pair,
     check_regularization,
     fit_two_layer,
-    grad_objective_interp,
-    grad_objective_reg,
     load_model,
-    objective_interp,
-    objective_reg,
     predict_two_layer,
     save_model,
 )
@@ -89,25 +91,55 @@ def _build_kernels(cfg, data_dim):
 
 
 def _build_opt_config(cfg, seed):
+    """BfgsConfig from the 'opt' block; keys it leaves out keep BfgsConfig's defaults."""
     opt = cfg.get("opt", {})
-    return BfgsConfig(
-        max_iters=int(opt.get("max_iters", 500)),
-        grad_tol=float(opt.get("grad_tol", 1e-6)),
-        restarts=int(opt.get("restarts", 64)),
-        seed=seed if "seed" not in opt else int(opt["seed"]),
-    )
+    types = {"max_iters": int, "grad_tol": float, "restarts": int, "seed": int}
+    given = {k: typ(opt[k]) for k, typ in types.items() if k in opt}
+    return BfgsConfig(**{"seed": seed, **given})
 
 
 def _build_cv_plan(cfg, seed):
+    """CvPlan from the 'cv' block, or None without one; left-out keys keep CvPlan's defaults."""
     cv = cfg.get("cv")
     if cv is None:
         return None
-    return CvPlan(
-        folds=int(cv.get("folds", 5)),
-        lambda_grid=tuple(float(v) for v in cv.get("lambda_grid", dyadic_grid())),
-        mu_grid=tuple(float(v) for v in cv.get("mu_grid", dyadic_grid())),
-        seed=seed,
-    )
+    given = {k: cv[k] for k in ("lambda_grid", "mu_grid") if k in cv}   # CvPlan makes them floats
+    if "folds" in cv:
+        given["folds"] = int(cv["folds"])
+    return CvPlan(seed=seed, **given)
+
+
+def _load_inputs(args):
+    """Config, dataset, (outer, inner) kernels and master seed of fit, cv and gradcheck."""
+    cfg = _load_config(args.config)
+    dataset = read_dataset_csv(args.data)
+    outer, inner = _build_kernels(cfg, dataset.X.shape[1])
+    return cfg, dataset, outer, inner, int(cfg.get("seed", 0))
+
+
+def _objective_params(cfg, seed):
+    """(lam, mu, gamma, cv_plan) of the config's mode, as fit reads them.
+
+    Interpolation is lam = mu = 0.  A regression takes 'lambda' and 'mu'
+    from the config, or else leaves them to cross-validation over the 'cv'
+    block: then lam and mu are None and cv_plan is set.  Every pair a
+    regression can use must be positive, since lam = mu = 0 would fit Int.
+    """
+    mode = cfg.get("mode", "interpolate")
+    gamma = float(cfg.get("gamma", 0.0))
+    if mode == "interpolate":
+        return 0.0, 0.0, gamma, None
+    if mode != "regress":
+        raise ValueError(f"unknown mode {mode!r}")
+    if "lambda" in cfg and "mu" in cfg:
+        lam, mu = float(cfg["lambda"]), float(cfg["mu"])
+        check_regularization(lam, mu)
+        return lam, mu, gamma, None
+    plan = _build_cv_plan(cfg, seed)
+    if plan is None:
+        raise ValueError("regression needs 'lambda' and 'mu', or a 'cv' block")
+    check_regularization(min(plan.lambda_grid), min(plan.mu_grid))
+    return None, None, gamma, plan
 
 
 # -----------------------------
@@ -115,31 +147,15 @@ def _build_cv_plan(cfg, seed):
 # -----------------------------
 
 def _cmd_fit(args):
-    cfg = _load_config(args.config)
-    dataset = read_dataset_csv(args.data)
-    outer, inner = _build_kernels(cfg, dataset.X.shape[1])
-    seed = int(cfg.get("seed", 0))
+    cfg, dataset, outer, inner, seed = _load_inputs(args)
     config = _build_opt_config(cfg, stream_seed(seed, "init"))
     threads = max(1, args.threads)
-    mode = cfg.get("mode", "interpolate")
-    gamma = float(cfg.get("gamma", 0.0))
-
-    if mode == "interpolate":
-        lam = mu = 0.0
-    elif mode == "regress":
-        if "lambda" in cfg and "mu" in cfg:
-            lam, mu = float(cfg["lambda"]), float(cfg["mu"])
-        else:
-            plan = _build_cv_plan(cfg, seed)
-            if plan is None:
-                raise ValueError("regression needs 'lambda' and 'mu', or a 'cv' block")
-            cv = cross_validate(dataset, inner, outer, plan, config, threads=threads)
-            lam, mu = cv.best_lambda, cv.best_mu
-            print(f"cv.best_lambda={lam!r}")
-            print(f"cv.best_mu={mu!r}")
-        check_regularization(lam, mu)   # lam = mu = 0 would otherwise fit Int
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    lam, mu, gamma, plan = _objective_params(cfg, seed)
+    if plan is not None:
+        cv = cross_validate(dataset, inner, outer, plan, config, threads=threads)
+        lam, mu = cv.best_lambda, cv.best_mu
+        print(f"cv.best_lambda={lam!r}")
+        print(f"cv.best_mu={mu!r}")
 
     model, result = fit_two_layer(dataset.X, dataset.y, inner, outer,
                                   lam=lam, mu=mu, gamma=gamma,
@@ -187,30 +203,29 @@ def _demo_cv_grid(grid, scale):
 
 
 def _cmd_demo(args):
-    seed = args.seed
     threads = max(1, args.threads)
     out_dir = args.out_dir
     os.makedirs(out_dir, exist_ok=True)
-    tf, plan, config, cv_config = _demo_setup(args.figure, args.scale, seed)
+    tf, plan, config, cv_config = _demo_setup(args.figure, args.scale, args.seed)
     kind = args.figure.split("-")[0]
 
-    if kind == "int":
+    if kind != "linout":   # int and reg share the inner kernel: degree 1 for h1, 2 for h2
         degree = 1 if tf == "h1" else 2
-        outer = TensorMaternKernel(order=1, dim=2)
         inner = DiagScaledKernel(PolyKernel(degree=degree, dim=2), weights=(1.0, 1.0))
-        report = run_comparison(tf, outer, inner, plan, mode="interpolation",
-                                config=config, threads=threads)
-        _write_demo_outputs(out_dir, report, {"two_layer": report.two_layer_model})
-    elif kind == "reg":
-        degree = 1 if tf == "h1" else 2
-        outer = GaussKernel(sigma=0.1, dim=2)
-        inner = DiagScaledKernel(PolyKernel(degree=degree, dim=2), weights=(1.0, 1.0))
-        grid = _demo_cv_grid(dyadic_grid(), args.scale)
-        cv_plan = CvPlan(lambda_grid=grid, mu_grid=grid)
-        report = run_comparison(tf, outer, inner, plan, cv_plan=cv_plan, mode="regression",
+        if kind == "int":
+            outer, mode, cv_plan = TensorMaternKernel(order=1, dim=2), "interpolation", None
+        else:
+            grid = _demo_cv_grid(dyadic_grid(), args.scale)
+            outer, mode = GaussKernel(sigma=0.1, dim=2), "regression"
+            cv_plan = CvPlan(lambda_grid=grid, mu_grid=grid)
+        report = run_comparison(tf, outer, inner, plan, cv_plan=cv_plan, mode=mode,
                                 config=config, cv_config=cv_config, threads=threads)
-        _write_demo_outputs(out_dir, report, {"two_layer": report.two_layer_model})
-    else:   # linout: linear versus nonlinear outer kernel on the mixture inner kernel
+        write_report(os.path.join(out_dir, "report.txt"), report)
+        write_error_grid_csv(os.path.join(out_dir, "two_layer_error.csv"), report.two_layer.error)
+        write_error_grid_csv(os.path.join(out_dir, "single_layer_error.csv"), report.single_layer.error)
+        write_inner_map_csv(os.path.join(out_dir, "inner_map.csv"), report.two_layer_model, EvalGrid())
+        print("\n".join(report.lines()))
+    else:   # linear versus nonlinear outer kernel on the mixture inner kernel
         mixture = DiagMixtureKernel(components=(
             GaussKernel(sigma=0.1, dim=2),
             GaussKernel(sigma=1.0, dim=2),
@@ -238,25 +253,11 @@ def _cmd_demo(args):
         write_inner_map_csv(os.path.join(out_dir, "setting1_inner_map.csv"), rep1.two_layer_model, grid)
         write_inner_map_csv(os.path.join(out_dir, "setting2_inner_map.csv"), rep2.two_layer_model, grid)
         print("\n".join(lines))
-        return 0
-
-    with open(os.path.join(out_dir, "report.txt")) as fh:
-        print(fh.read(), end="")
     return 0
 
 
-def _write_demo_outputs(out_dir, report, models):
-    write_report(os.path.join(out_dir, "report.txt"), report)
-    write_error_grid_csv(os.path.join(out_dir, "two_layer_error.csv"), report.two_layer.error)
-    write_error_grid_csv(os.path.join(out_dir, "single_layer_error.csv"), report.single_layer.error)
-    write_inner_map_csv(os.path.join(out_dir, "inner_map.csv"), models["two_layer"], EvalGrid())
-
-
 def _cmd_cv(args):
-    cfg = _load_config(args.config)
-    dataset = read_dataset_csv(args.data)
-    outer, inner = _build_kernels(cfg, dataset.X.shape[1])
-    seed = int(cfg.get("seed", 0))
+    cfg, dataset, outer, inner, seed = _load_inputs(args)
     plan = _build_cv_plan(cfg, seed)
     if plan is None:
         raise ValueError("config has no 'cv' block")
@@ -272,22 +273,13 @@ def _cmd_cv(args):
 
 
 def _cmd_gradcheck(args):
-    cfg = _load_config(args.config)
-    dataset = read_dataset_csv(args.data)
-    outer, inner = _build_kernels(cfg, dataset.X.shape[1])
-    seed = int(cfg.get("seed", 0))
+    cfg, dataset, outer, inner, seed = _load_inputs(args)
+    lam, mu, gamma, plan = _objective_params(cfg, seed)
+    if plan is not None:   # fit would pick (lam, mu) by CV; check at lam = mu = 1
+        lam = mu = 1.0
     prob = TwoLayerProblem(dataset.X, dataset.y, inner, outer)
-    rng = stream_rng(seed, "init")
-    c = rng.standard_normal(prob.n_coeffs)
-    mode = cfg.get("mode", "interpolate")
-    if mode == "interpolate":
-        gamma = float(cfg.get("gamma", 0.0))
-        f = lambda v: objective_interp(v, prob, gamma)
-        g = lambda v: grad_objective_interp(v, prob, gamma)
-    else:
-        lam, mu = float(cfg.get("lambda", 1.0)), float(cfg.get("mu", 1.0))
-        f = lambda v: objective_reg(v, prob, lam, mu)
-        g = lambda v: grad_objective_reg(v, prob, lam, mu)
+    f, g = _cached_objective_pair(prob, lam, mu, gamma)
+    c = stream_rng(seed, "init").standard_normal(prob.n_coeffs)
     if not math.isfinite(f(c)):
         raise OptimizationError("random coefficient draw landed in the infeasible region")
     report = grad_check(f, g, c, h=args.step, rel_tol=args.rel_tol)
@@ -327,7 +319,7 @@ def _cmd_inner_map(args):
 def build_parser():
     parser = argparse.ArgumentParser(prog="deepkern")
     parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="worker threads for restarts and CV cells")
+                        help="worker threads for the restarts of each fit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fit", help="fit a two-layer model from a CSV dataset")

@@ -22,9 +22,15 @@ term depends on the mode; the rest is shared and weighted by
 (s, w) = (1, 1) for Int and (lam, mu) for Reg: the value gets w N(c), and
 the gradient pulls -2 s alpha_p sum_n alpha_n d2K(g_n, g_p) back through
 dg/dc and adds 2 w Kblock c.  Gradients are exact, and one
-objective+gradient evaluation costs O(N^3 D + (N D)^2).  The fitting
-driver runs the second stage only at points where the line search asks
-for the gradient.
+objective+gradient evaluation costs O(N^3 D + (N D)^2).
+
+``_cached_objective_pair`` turns the core into the (f, g) pair that a fit
+minimizes and that ``deepkern gradcheck`` checks; f runs stage one and g
+runs stage two only at points where the line search asks for the
+gradient.  Building the pair checks the mode rule, so fit and gradcheck
+get it from one place: lam = mu = 0 is Int, anything else needs lam > 0,
+mu > 0 and no penalty.  A fitted model's alpha is stage one's alpha at
+the returned c.
 
 Every infeasible point has the value SENTINEL = inf, a zero gradient and
 ok=False: a non-finite Q, a Q that is singular up to the largest jitter,
@@ -45,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gram import SingularMatrixError, spd_solve
+from .gram import SingularMatrixError, gram, spd_solve
 from .kernels import matrix_from_params, matrix_to_params, scalar_from_params, scalar_to_params
 
 SENTINEL = math.inf   # the value of every infeasible point
@@ -108,9 +114,7 @@ class TwoLayerProblem:
 
 def q_matrix(c, prob):
     """Outer Gram matrix of the mapped data points, exactly symmetric."""
-    Z = prob.images(c)
-    Q = prob.outer.cross(Z, Z)
-    return 0.5 * (Q + Q.T)
+    return gram(prob.outer, prob.images(c))
 
 
 def inner_norm_sq(c, prob):
@@ -171,8 +175,7 @@ def _objective_value(c, prob, lam, mu, gamma):
     """
     with np.errstate(over="ignore", invalid="ignore"):
         Z = prob.images(c)
-        Q = prob.outer.cross(Z, Z)
-    Q = 0.5 * (Q + Q.T)
+        Q = gram(prob.outer, Z)
     if not np.all(np.isfinite(Q)):   # overflowed images, e.g. runaway line-search trial
         return SENTINEL, None
     try:
@@ -245,15 +248,6 @@ def grad_objective_reg(c, prob, lam, mu):
     return _objective_core(c, prob, lam, mu, 0.0, want_grad=True)[1]
 
 
-def outer_fit(c, prob, lam=0.0):
-    """Outer coefficients alpha solving (Q(c) + lam I) alpha = y."""
-    Q = q_matrix(c, prob)
-    if lam:
-        Q = Q + lam * np.eye(len(Q))
-    alpha, _ = spd_solve(Q, prob.y)
-    return alpha
-
-
 # -----------------------------
 # Fitting driver
 # -----------------------------
@@ -268,7 +262,14 @@ def _cached_objective_pair(prob, lam, mu, gamma):
     time the gradient is asked for at that point.  The slot is per thread:
     each restart runs entirely in one thread of the multistart pool, so
     concurrent restarts never share or evict each other's entry.
+
+    lam = mu = 0 selects Int; anything else must be a Reg pair with
+    lam, mu > 0 and gamma = 0, checked here before any restart runs.
     """
+    if not (lam == 0.0 and mu == 0.0):
+        check_regularization(lam, mu)
+        if gamma != 0.0:
+            raise ValueError("the separation penalty is an interpolation-mode device")
     slot = threading.local()
 
     def at(c):
@@ -300,21 +301,13 @@ def fit_two_layer(X, y, inner, outer, lam=0.0, mu=0.0, gamma=0.0,
     """
     from .optimize import BfgsConfig, multistart
 
-    interpolation = lam == 0.0 and mu == 0.0
-    if not interpolation:
-        # checked once here, before any restart; the core does not check
-        check_regularization(lam, mu)
-        if gamma != 0.0:
-            raise ValueError("the separation penalty is an interpolation-mode device")
-    config = config or BfgsConfig()
     prob = TwoLayerProblem(X, y, inner, outer)
     f, g = _cached_objective_pair(prob, lam, mu, gamma)
-    result = multistart(f, g, prob.n_coeffs, config, threads=threads)
-    c_best = prob.coeff_matrix(result.x)
-    # outer coefficients recomputed from scratch at the final c
-    alpha = outer_fit(c_best, prob, lam)
+    result = multistart(f, g, prob.n_coeffs, config or BfgsConfig(), threads=threads)
+    # stage one's outer coefficients at the returned c, where the value is finite
+    _, (_, alpha, *_) = _objective_value(result.x, prob, lam, mu, gamma)
     model = TwoLayerModel(
-        X=prob.X, inner=inner, outer=outer, c=c_best, alpha=alpha,
+        X=prob.X, inner=inner, outer=outer, c=prob.coeff_matrix(result.x), alpha=alpha,
         lam=float(lam), mu=float(mu), gamma=float(gamma),
         objective_value=result.objective,
     )
@@ -337,9 +330,9 @@ class TwoLayerModel:
     gamma: float
     objective_value: float
 
-    def problem(self, y=None):
-        y = np.zeros(len(self.X)) if y is None else y
-        return TwoLayerProblem(self.X, y, self.inner, self.outer)
+    def problem(self):
+        """The fitted problem, with zero targets: enough to map points through g."""
+        return TwoLayerProblem(self.X, np.zeros(len(self.X)), self.inner, self.outer)
 
 
 def predict_two_layer(model, points):

@@ -361,16 +361,17 @@ def inner_transform_dump(model, grid):
 # CSV and report I/O
 # -----------------------------
 
-def _fmt(v):
-    return repr(float(v))
+def _write_csv(path, header, rows):
+    """A header line, then one line per row with every value written as repr(float)."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
 def write_dataset_csv(path, dataset):
-    d = dataset.X.shape[1]
-    with open(path, "w") as fh:
-        fh.write(",".join(f"x{i+1}" for i in range(d)) + ",y\n")
-        for row, target in zip(dataset.X, dataset.y):
-            fh.write(",".join(_fmt(v) for v in row) + f",{_fmt(target)}\n")
+    header = [f"x{i+1}" for i in range(dataset.X.shape[1])] + ["y"]
+    _write_csv(path, header, np.column_stack([dataset.X, dataset.y]))
 
 
 def _read_csv_rows(path, what):
@@ -415,22 +416,15 @@ def read_points_csv(path):
 
 
 def write_error_grid_csv(path, error_grid):
-    with open(path, "w") as fh:
-        d = error_grid.points.shape[1]
-        fh.write(",".join(f"t{i+1}" for i in range(d)) + ",abs_error\n")
-        for row, err in zip(error_grid.points, error_grid.errors):
-            fh.write(",".join(_fmt(v) for v in row) + f",{_fmt(err)}\n")
+    header = [f"t{i+1}" for i in range(error_grid.points.shape[1])] + ["abs_error"]
+    _write_csv(path, header, np.column_stack([error_grid.points, error_grid.errors]))
 
 
 def write_inner_map_csv(path, model, grid):
     rows = inner_transform_dump(model, grid)
-    d = grid.points().shape[1]
-    n_out = rows.shape[1] - d
-    with open(path, "w") as fh:
-        header = [f"t{i+1}" for i in range(d)] + [f"g{i+1}" for i in range(n_out)]
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    d = len(DOMAIN)   # the grid's dimension; the rest of each row is g(t)
+    header = [f"t{i+1}" for i in range(d)] + [f"g{i+1}" for i in range(rows.shape[1] - d)]
+    _write_csv(path, header, rows)
 
 
 def write_report(path, report):

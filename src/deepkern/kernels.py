@@ -195,13 +195,6 @@ class TensorMaternKernel:
         return out
 
 
-SCALAR_FAMILIES = {
-    "poly": PolyKernel,
-    "gauss": GaussKernel,
-    "tensor_matern": TensorMaternKernel,
-}
-
-
 @dataclass(frozen=True)
 class DiagScaledKernel:
     """Matrix-valued kernel K_I(x, y) * diag(a) for a scalar kernel K_I."""
@@ -264,26 +257,30 @@ class DiagMixtureKernel:
 # Parameter-dict conversion (config files, model records)
 # -----------------------------
 
+# family -> (class, parameter key, constructor argument, its type)
+_SCALAR_PARAMS = {
+    "poly": (PolyKernel, "p", "degree", int),
+    "gauss": (GaussKernel, "sigma", "sigma", float),
+    "tensor_matern": (TensorMaternKernel, "s", "order", int),
+}
+
+
+def _scalar_entry(family):
+    if not (isinstance(family, str) and family in _SCALAR_PARAMS):
+        raise ValueError(f"unknown scalar kernel family {family!r}")
+    return _SCALAR_PARAMS[family]
+
+
 def scalar_to_params(kernel):
-    if kernel.family == "poly":
-        return {"family": "poly", "p": kernel.degree, "dim": kernel.dim}
-    if kernel.family == "gauss":
-        return {"family": "gauss", "sigma": kernel.sigma, "dim": kernel.dim}
-    if kernel.family == "tensor_matern":
-        return {"family": "tensor_matern", "s": kernel.order, "dim": kernel.dim}
-    raise ValueError(f"unknown scalar kernel {kernel!r}")
+    _, key, arg, _ = _scalar_entry(kernel.family)
+    return {"family": kernel.family, key: getattr(kernel, arg), "dim": kernel.dim}
 
 
 def scalar_from_params(params):
     family = params.get("family")
     dim = int(params["dim"])
-    if family == "poly":
-        return PolyKernel(degree=int(params["p"]), dim=dim)
-    if family == "gauss":
-        return GaussKernel(sigma=float(params["sigma"]), dim=dim)
-    if family == "tensor_matern":
-        return TensorMaternKernel(order=int(params["s"]), dim=dim)
-    raise ValueError(f"unknown scalar kernel family {family!r}")
+    cls, key, arg, typ = _scalar_entry(family)
+    return cls(**{arg: typ(params[key]), "dim": dim})
 
 
 def matrix_to_params(kernel):

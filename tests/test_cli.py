@@ -5,10 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from deepkern.cli import main
+from deepkern.cli import _build_cv_plan, _build_opt_config, main
 from deepkern.deep_model import TwoLayerModel, load_model, predict_two_layer, save_model
-from deepkern.experiments import SamplingPlan, sample_dataset, write_dataset_csv
+from deepkern.experiments import CvPlan, SamplingPlan, sample_dataset, write_dataset_csv
 from deepkern.kernels import DiagScaledKernel, GaussKernel, PolyKernel
+from deepkern.optimize import BfgsConfig
 
 INTERP_CONFIG = {
     "mode": "interpolate",
@@ -321,6 +322,54 @@ class TestExitCodes:
         assert "no restart produced a finite objective" in captured.err
         assert "converged=" not in captured.out
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "gradcheck"])
+    @pytest.mark.parametrize("change", [
+        {"mode": "regres"},
+        {"gamma": 0.5},
+        {"lambda": None, "mu": None, "cv": {"folds": 2, "lambda_grid": [0.1, 0.0]}},
+    ], ids=["mode-typo", "gamma-under-regression", "cv-grid-with-zero"])
+    def test_config_that_fit_rejects_exits_2_everywhere(self, tmp_path, capsys, command, change):
+        # a None value removes the key from the config
+        cfg = {k: v for k, v in {**REG_CONFIG, **change}.items() if v is not None}
+        data, _ = write_data(tmp_path, n=6, seed=9)
+        argv = [command, "--config", write_config(tmp_path, cfg), "--data", data]
+        if command == "fit":
+            argv += ["--out", str(tmp_path / "m.json")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("family", [["poly"], None])
+    @pytest.mark.parametrize("block", ["kernel", "inner"])
+    def test_nonstring_kernel_family_exits_2(self, tmp_path, capsys, block, family):
+        cfg = json.loads(json.dumps(INTERP_CONFIG))
+        (cfg["inner"]["components"][0] if block == "inner" else cfg["kernel"])["family"] = family
+        data, _ = write_data(tmp_path, n=6, seed=9)
+        assert main(["fit", "--config", write_config(tmp_path, cfg), "--data", data,
+                     "--out", str(tmp_path / "m.json")]) == 2
+        assert "unknown scalar kernel family" in capsys.readouterr().err
+
+
+class TestConfigBlocks:
+    def test_empty_opt_block_gives_bfgs_defaults(self):
+        assert _build_opt_config({}, 17) == BfgsConfig(seed=17)
+        assert _build_opt_config({"opt": {}}, 17) == BfgsConfig(seed=17)
+
+    def test_opt_keys_are_coerced(self):
+        opt = {"max_iters": "7", "grad_tol": 1, "restarts": 3.0, "seed": "5"}
+        config = _build_opt_config({"opt": opt}, 17)
+        assert config == BfgsConfig(max_iters=7, grad_tol=1.0, restarts=3, seed=5)
+        assert [type(v) for v in (config.max_iters, config.grad_tol, config.restarts,
+                                  config.seed)] == [int, float, int, int]
+
+    def test_empty_cv_block_gives_cv_plan_defaults(self):
+        assert _build_cv_plan({"cv": {}}, 17) == CvPlan(seed=17)
+        assert _build_cv_plan({}, 17) is None
+
+    def test_cv_keys_are_coerced(self):
+        plan = _build_cv_plan({"cv": {"folds": "3", "lambda_grid": [1, 2], "mu_grid": ["0.5"]}}, 4)
+        assert plan == CvPlan(folds=3, lambda_grid=(1.0, 2.0), mu_grid=(0.5,), seed=4)
+        assert all(type(v) is float for v in plan.lambda_grid + plan.mu_grid)
 
 
 class TestThreads:

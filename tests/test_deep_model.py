@@ -14,6 +14,7 @@ from deepkern.deep_model import (
     TwoLayerProblem,
     _cached_objective_pair,
     _objective_core,
+    _objective_value,
     block_gram,
     fit_two_layer,
     grad_objective_interp,
@@ -24,7 +25,6 @@ from deepkern.deep_model import (
     mlmkl_equivalence_check,
     objective_interp,
     objective_reg,
-    outer_fit,
     penalty_coth,
     predict_two_layer,
     q_matrix,
@@ -304,22 +304,28 @@ class TestCoercivity:
 
 
 class TestOuterFit:
+    """The outer coefficients alpha = (Q(c) + lam I)^{-1} y: stage one's, and a fit's."""
+
     def test_single_point_interpolation(self):
         prob = small_problem(n=1, y=[3.0])
-        np.testing.assert_allclose(outer_fit(np.zeros(2), prob), [3.0])
+        model, _ = fit_two_layer(prob.X, prob.y, POLY1, GAUSS_OUT,
+                                 config=BfgsConfig(restarts=2, max_iters=20))
+        np.testing.assert_allclose(model.alpha, [3.0])
 
     def test_large_lambda_neumann_limit(self):
         prob = small_problem(n=4, seed=53)
         lam = 1e8
-        alpha = outer_fit(np.random.default_rng(54).standard_normal(prob.n_coeffs), prob, lam)
+        c = np.random.default_rng(54).standard_normal(prob.n_coeffs)
+        _, (_, alpha, *_) = _objective_value(c, prob, lam, 1.0, 0.0)
         np.testing.assert_allclose(alpha, prob.y / lam, rtol=1e-6)
 
     def test_dense_solve_oracle(self):
         prob = small_problem(n=2, seed=55)
-        c = np.random.default_rng(56).standard_normal(prob.n_coeffs)
-        Q = q_matrix(c, prob)
+        model, result = fit_two_layer(prob.X, prob.y, POLY1, GAUSS_OUT, lam=0.2, mu=0.1,
+                                      config=BfgsConfig(restarts=2, max_iters=50, seed=56))
+        Q = q_matrix(result.x, prob)
         np.testing.assert_allclose(
-            outer_fit(c, prob, lam=0.2),
+            model.alpha,
             np.linalg.solve(Q + 0.2 * np.eye(2), prob.y),
             rtol=1e-10,
         )

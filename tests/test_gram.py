@@ -1,11 +1,11 @@
 """Gram assembly, jittered SPD solves, and the inverse-derivative identity."""
 
-import importlib
 import math
 
 import numpy as np
 import pytest
 
+import deepkern.gram as gram_module
 from deepkern.gram import (
     JITTERS,
     SingularMatrixError,
@@ -18,9 +18,6 @@ from deepkern.gram import (
 from deepkern.kernels import GaussKernel, PolyKernel, TensorMaternKernel
 
 SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
-
-# the package re-exports the function gram, which shadows the module attribute
-gram_module = importlib.import_module("deepkern.gram")
 
 
 def random_spd(rng, n):
