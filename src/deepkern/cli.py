@@ -6,8 +6,9 @@ Exit codes follow one convention everywhere: 0 success, 2 bad input
 optimization, no feasible restart).  All randomness derives from the
 single config/flag seed, so every command is reproducible.
 
-``fit``, ``cv`` and ``gradcheck`` read a config through the same helpers,
-and ``gradcheck`` checks the very (f, g) pair that ``fit`` minimizes, at
+``fit``, ``cv`` and ``gradcheck`` read every block of a config in one
+place, ``_load_inputs``, so each rejects what the others reject, and
+``gradcheck`` checks the very (f, g) pair that ``fit`` minimizes, at
 the config's mode, (lambda, mu) and gamma; where ``fit`` would choose
 (lambda, mu) by cross-validation, it checks at lambda = mu = 1.
 """
@@ -109,37 +110,49 @@ def _build_cv_plan(cfg, seed):
     return CvPlan(seed=seed, **given)
 
 
-def _load_inputs(args):
-    """Config, dataset, (outer, inner) kernels and master seed of fit, cv and gradcheck."""
-    cfg = _load_config(args.config)
-    dataset = read_dataset_csv(args.data)
-    outer, inner = _build_kernels(cfg, dataset.X.shape[1])
-    return cfg, dataset, outer, inner, int(cfg.get("seed", 0))
-
-
-def _objective_params(cfg, seed):
-    """(lam, mu, gamma, cv_plan) of the config's mode, as fit reads them.
+def _objective_params(cfg, plan):
+    """(lam, mu, gamma) of the config's mode, as fit reads them.
 
     Interpolation is lam = mu = 0.  A regression takes 'lambda' and 'mu'
     from the config, or else leaves them to cross-validation over the 'cv'
-    block: then lam and mu are None and cv_plan is set.  Every pair a
-    regression can use must be positive, since lam = mu = 0 would fit Int.
+    block's plan: then lam and mu are None.  Every pair a regression can
+    use must be positive, since lam = mu = 0 would fit Int.
     """
     mode = cfg.get("mode", "interpolate")
     gamma = float(cfg.get("gamma", 0.0))
     if mode == "interpolate":
-        return 0.0, 0.0, gamma, None
+        return 0.0, 0.0, gamma
     if mode != "regress":
         raise ValueError(f"unknown mode {mode!r}")
     if "lambda" in cfg and "mu" in cfg:
         lam, mu = float(cfg["lambda"]), float(cfg["mu"])
         check_regularization(lam, mu)
-        return lam, mu, gamma, None
-    plan = _build_cv_plan(cfg, seed)
+        return lam, mu, gamma
     if plan is None:
         raise ValueError("regression needs 'lambda' and 'mu', or a 'cv' block")
     check_regularization(min(plan.lambda_grid), min(plan.mu_grid))
-    return None, None, gamma, plan
+    return None, None, gamma
+
+
+def _load_inputs(args):
+    """Dataset, (outer, inner) kernels, seed, BfgsConfig, CV plan and (lam, mu, gamma).
+
+    fit, cv and gradcheck all read every block of the config here, so a
+    config is rejected the same way by each of them.  A block of the wrong
+    JSON type (a number where an object or a list belongs, say) raises
+    ValueError naming the config file, as a malformed model file does.
+    """
+    cfg = _load_config(args.config)
+    dataset = read_dataset_csv(args.data)
+    try:
+        outer, inner = _build_kernels(cfg, dataset.X.shape[1])
+        seed = int(cfg.get("seed", 0))
+        config = _build_opt_config(cfg, stream_seed(seed, "init"))
+        plan = _build_cv_plan(cfg, seed)
+        params = _objective_params(cfg, plan)
+    except (TypeError, AttributeError) as e:
+        raise ValueError(f"{args.config}: malformed config ({e})") from None
+    return dataset, outer, inner, seed, config, plan, params
 
 
 # -----------------------------
@@ -147,11 +160,9 @@ def _objective_params(cfg, seed):
 # -----------------------------
 
 def _cmd_fit(args):
-    cfg, dataset, outer, inner, seed = _load_inputs(args)
-    config = _build_opt_config(cfg, stream_seed(seed, "init"))
+    dataset, outer, inner, _, config, plan, (lam, mu, gamma) = _load_inputs(args)
     threads = max(1, args.threads)
-    lam, mu, gamma, plan = _objective_params(cfg, seed)
-    if plan is not None:
+    if lam is None:
         cv = cross_validate(dataset, inner, outer, plan, config, threads=threads)
         lam, mu = cv.best_lambda, cv.best_mu
         print(f"cv.best_lambda={lam!r}")
@@ -257,11 +268,9 @@ def _cmd_demo(args):
 
 
 def _cmd_cv(args):
-    cfg, dataset, outer, inner, seed = _load_inputs(args)
-    plan = _build_cv_plan(cfg, seed)
+    dataset, outer, inner, _, config, plan, _ = _load_inputs(args)
     if plan is None:
         raise ValueError("config has no 'cv' block")
-    config = _build_opt_config(cfg, stream_seed(seed, "init"))
     cv = cross_validate(dataset, inner, outer, plan, config, threads=max(1, args.threads))
     print(f"best_lambda={cv.best_lambda!r}")
     print(f"best_mu={cv.best_mu!r}")
@@ -273,9 +282,8 @@ def _cmd_cv(args):
 
 
 def _cmd_gradcheck(args):
-    cfg, dataset, outer, inner, seed = _load_inputs(args)
-    lam, mu, gamma, plan = _objective_params(cfg, seed)
-    if plan is not None:   # fit would pick (lam, mu) by CV; check at lam = mu = 1
+    dataset, outer, inner, seed, _, _, (lam, mu, gamma) = _load_inputs(args)
+    if lam is None:   # fit would pick (lam, mu) by CV; check at lam = mu = 1
         lam = mu = 1.0
     prob = TwoLayerProblem(dataset.X, dataset.y, inner, outer)
     f, g = _cached_objective_pair(prob, lam, mu, gamma)

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gram import SingularMatrixError, gram, spd_solve
+from .gram import SingularMatrixError, by_point_blocks, gram, spd_solve
 from .kernels import matrix_from_params, matrix_to_params, scalar_from_params, scalar_to_params
 
 SENTINEL = math.inf   # the value of every infeasible point
@@ -336,13 +336,24 @@ class TwoLayerModel:
 
 
 def predict_two_layer(model, points):
-    """f(g(.)): map the points through g, then evaluate the outer expansion."""
+    """f(g(.)): map the points through g, then evaluate the outer expansion.
+
+    By the representer theorem this is the finite expansion
+    sum_j alpha_j K(g(x_j), g(t)), evaluated in blocks of
+    ``gram.POINT_BLOCK`` points, so memory is O(N D POINT_BLOCK) for any
+    number of points.  The same points array at the same BLAS thread count
+    gives the same bits; a point's value can differ in the last bits with
+    the batch it is predicted in (see ``gram``).
+    """
     pts = np.asarray(points, dtype=float)
     single = pts.ndim == 1
     prob = model.problem()
     z_train = prob.images(model.c)
-    z_pts = prob.images_at(model.c, np.atleast_2d(pts))
-    vals = model.outer.cross(z_train, z_pts).T @ model.alpha
+
+    def block_values(block):
+        return model.outer.cross(z_train, prob.images_at(model.c, block)).T @ model.alpha
+
+    vals = by_point_blocks(block_values, np.atleast_2d(pts))
     return float(vals[0]) if single else vals
 
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .deep_model import fit_two_layer, predict_two_layer
+from .gram import by_point_blocks
 from .kernels import scalar_from_params, scalar_to_params
 from .optimize import BfgsConfig
 from .single_layer import fit_single, predict_single
@@ -350,10 +351,13 @@ def run_comparison(tf, outer, inner, plan, cv_plan=None, mode="interpolation",
 
 
 def inner_transform_dump(model, grid):
-    """Rows (t_1, t_2, g_1(t), ..., g_D(t)) showing the learned deformation."""
+    """Rows (t_1, t_2, g_1(t), ..., g_D(t)) showing the learned deformation.
+
+    g is evaluated in blocks of ``gram.POINT_BLOCK`` grid points.
+    """
     pts = grid.points()
     prob = model.problem()
-    images = prob.images_at(model.c, pts)
+    images = by_point_blocks(lambda block: prob.images_at(model.c, block), pts)
     return np.hstack([pts, images])
 
 

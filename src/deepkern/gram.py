@@ -9,6 +9,15 @@ factorization succeed, and a matrix that fails at 1e-6 raises
 ``SingularMatrixError``.  Solutions get one step of iterative refinement,
 which keeps residuals near machine precision even close to the jitter
 boundary.
+
+Kernel evaluations at m new points go through ``by_point_blocks``, which
+evaluates them ``POINT_BLOCK`` rows at a time, so a read path holds
+O(N D POINT_BLOCK) memory however large m is.  Each block runs the same
+formula as a single call would, so the results agree up to rounding: the
+same points array at the same BLAS thread count gives the same bits, but
+a point's value can differ in the last bits with the batch it is
+evaluated in, blocked or not, because BLAS orders its reductions by the
+shape of the call.
 """
 
 import numpy as np
@@ -33,6 +42,24 @@ def gram(kernel, X, Z=None):
         M = kernel.cross(X, X)
         return 0.5 * (M + M.T)
     return kernel.cross(X, np.atleast_2d(np.asarray(Z, dtype=float)))
+
+
+# rows per block: the peak memory of a read path grows with it, and smaller
+# blocks cost CPU (1024 rows took about 35% longer on a 40,401-point grid)
+POINT_BLOCK = 4096
+
+
+def by_point_blocks(fn, points):
+    """fn applied to consecutive POINT_BLOCK-row slices of points, results concatenated.
+
+    ``points`` is an (m, d) array; ``fn`` maps a (b, d) slice to an array
+    with b leading rows.  Up to one block, including m = 0, fn is called
+    once on the whole array, so its result and shape are fn's own.
+    """
+    if len(points) <= POINT_BLOCK:
+        return fn(points)
+    return np.concatenate([fn(points[i:i + POINT_BLOCK])
+                           for i in range(0, len(points), POINT_BLOCK)])
 
 
 def spd_factor(M):

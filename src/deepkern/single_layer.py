@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gram import gram, solve_interpolation, solve_ridge
+from .gram import by_point_blocks, gram, solve_interpolation, solve_ridge
 
 
 @dataclass(frozen=True)
@@ -35,11 +35,16 @@ def fit_single(kernel, X, y, lam=0.0):
 
 
 def predict_single(model, points):
-    """Evaluate the fitted expansion at one point or a (m, d) batch."""
+    """Evaluate the fitted expansion at one point or a (m, d) batch.
+
+    The batch is evaluated in blocks of ``gram.POINT_BLOCK`` points, so
+    memory is O(N POINT_BLOCK) for any m; a point's value can differ in
+    the last bits with the batch it is in (see ``gram``).
+    """
     pts = np.asarray(points, dtype=float)
     single = pts.ndim == 1
-    K = model.kernel.cross(model.centers, np.atleast_2d(pts))
-    vals = K.T @ model.alpha
+    vals = by_point_blocks(lambda block: model.kernel.cross(model.centers, block).T @ model.alpha,
+                           np.atleast_2d(pts))
     return float(vals[0]) if single else vals
 
 

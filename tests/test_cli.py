@@ -339,6 +339,27 @@ class TestExitCodes:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("command", ["fit", "cv", "gradcheck"])
+    @pytest.mark.parametrize("change", [
+        {"kernel": 5},
+        {"opt": 5},
+        {"cv": {"lambda_grid": 0.5}},
+        {"seed": [1]},
+        {"inner": {**REG_CONFIG["inner"], "components": 5}},
+        {"kernel": {"family": "gauss", "sigma": [1]}},
+    ], ids=["kernel-number", "opt-number", "cv-grid-number", "seed-list", "components-number",
+            "sigma-list"])
+    def test_config_block_of_wrong_type_exits_2(self, tmp_path, capsys, command, change):
+        # every command reads every block, so each of these fails in all three
+        cfg = {**REG_CONFIG, "cv": {"folds": 2, "lambda_grid": [0.1], "mu_grid": [0.1]}, **change}
+        data, _ = write_data(tmp_path, n=6, seed=9)
+        path = write_config(tmp_path, cfg)
+        argv = [command, "--config", path, "--data", data]
+        if command == "fit":
+            argv += ["--out", str(tmp_path / "m.json")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: malformed config")
+
     @pytest.mark.parametrize("family", [["poly"], None])
     @pytest.mark.parametrize("block", ["kernel", "inner"])
     def test_nonstring_kernel_family_exits_2(self, tmp_path, capsys, block, family):

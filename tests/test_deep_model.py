@@ -1,6 +1,9 @@
 """Two-layer objectives, analytic gradients, prediction, MLMKL identity, model files."""
 
+import dataclasses
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,6 +33,8 @@ from deepkern.deep_model import (
     q_matrix,
     save_model,
 )
+from deepkern.experiments import inner_transform_dump
+from deepkern.gram import POINT_BLOCK
 from deepkern.kernels import (
     DiagMixtureKernel,
     DiagScaledKernel,
@@ -38,6 +43,7 @@ from deepkern.kernels import (
     TensorMaternKernel,
 )
 from deepkern.optimize import BfgsConfig, finite_diff_grad, multistart
+from deepkern.single_layer import SingleLayerModel, predict_single
 
 POLY1 = DiagScaledKernel(PolyKernel(1, 2), weights=(1.0, 1.0))
 GAUSS_OUT = GaussKernel(1.0, 2)
@@ -550,6 +556,127 @@ class TestPredictTwoLayer:
         rng = np.random.default_rng(65)
         gx, gt = (prob.images_at(model.c, rng.uniform(-1, 1, 2))[0] for _ in range(2))
         assert model.outer(gx, gt) == model.outer(gt, gx)
+
+
+# the linout setting's mixture inner kernel, D = 5
+LINOUT_MIXTURE = DiagMixtureKernel(components=(
+    GaussKernel(0.1, 2), GaussKernel(1.0, 2), GaussKernel(10.0, 2), PolyKernel(1, 2), PolyKernel(2, 2),
+))
+BLOCK_OUTERS = {
+    "poly": PolyKernel(2, 5),
+    "gauss": GaussKernel(1.0, 5),
+    "tensor_matern": TensorMaternKernel(order=1, dim=5),
+}
+
+
+def mixture_model(outer, n=20, seed=0):
+    """A two-layer model on the linout mixture; positive alpha, so no sum cancels."""
+    rng = np.random.default_rng(seed)
+    D = LINOUT_MIXTURE.out_dim
+    return TwoLayerModel(X=rng.uniform(-1, 1, (n, 2)), inner=LINOUT_MIXTURE, outer=outer,
+                         c=0.1 * rng.standard_normal((n, D)), alpha=rng.uniform(0.5, 1.5, n),
+                         lam=0.1, mu=0.1, gamma=0.0, objective_value=1.0)
+
+
+def baseline_model(family, n=20, seed=2):
+    """A single-layer expansion with the outer family on the 2-d data domain."""
+    rng = np.random.default_rng(seed)
+    return SingleLayerModel(kernel=dataclasses.replace(BLOCK_OUTERS[family], dim=2),
+                            centers=rng.uniform(-1, 1, (n, 2)), alpha=rng.uniform(0.5, 1.5, n),
+                            lam=0.0)
+
+
+def one_shot_images(model, pts):
+    """g at all points in one evaluation: the (D, N, m) stack contracted with c."""
+    return np.einsum("djm,jd->md", model.inner.diag_cross(model.X, pts), model.c)
+
+
+def one_shot_two_layer(model, pts):
+    z_pts = one_shot_images(model, np.atleast_2d(pts))
+    vals = model.outer.cross(one_shot_images(model, model.X), z_pts).T @ model.alpha
+    return float(vals[0]) if np.ndim(pts) == 1 else vals
+
+
+def one_shot_single(model, pts):
+    vals = model.kernel.cross(model.centers, np.atleast_2d(pts)).T @ model.alpha
+    return float(vals[0]) if np.ndim(pts) == 1 else vals
+
+
+def assert_close(got, ref):
+    # blocking may change the last bits of a BLAS reduction, not more; atol
+    # covers the entries of g, which are sums of mixed sign
+    scale = float(np.max(np.abs(ref))) if np.size(ref) else 0.0
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * scale)
+
+
+BLOCK_SIZES = [0, 1, 7, POINT_BLOCK - 1, POINT_BLOCK, POINT_BLOCK + 1, POINT_BLOCK + 8,
+               2 * POINT_BLOCK + 3]
+
+
+def block_points(m, seed=1):
+    return np.random.default_rng(seed).uniform(-1, 1, (m, 2))
+
+
+class TestBlockedReadPaths:
+    """The three m-point read paths against their one-shot formulas, across block edges."""
+
+    @pytest.mark.parametrize("family", sorted(BLOCK_OUTERS))
+    @pytest.mark.parametrize("m", BLOCK_SIZES)
+    def test_predict_two_layer(self, family, m):
+        model = mixture_model(BLOCK_OUTERS[family])
+        pts = block_points(m)
+        got = predict_two_layer(model, pts)
+        assert isinstance(got, np.ndarray) and got.shape == (m,)
+        assert_close(got, one_shot_two_layer(model, pts))
+
+    @pytest.mark.parametrize("family", sorted(BLOCK_OUTERS))
+    @pytest.mark.parametrize("m", BLOCK_SIZES)
+    def test_predict_single(self, family, m):
+        baseline = baseline_model(family)
+        pts = block_points(m)
+        got = predict_single(baseline, pts)
+        assert isinstance(got, np.ndarray) and got.shape == (m,)
+        assert_close(got, one_shot_single(baseline, pts))
+
+    @pytest.mark.parametrize("m", BLOCK_SIZES)
+    def test_inner_transform_dump(self, m):
+        model = mixture_model(BLOCK_OUTERS["tensor_matern"])
+        pts = block_points(m)
+        rows = inner_transform_dump(model, SimpleNamespace(points=lambda: pts))
+        assert rows.shape == (m, 2 + LINOUT_MIXTURE.out_dim)
+        np.testing.assert_array_equal(rows[:, :2], pts)
+        assert_close(rows[:, 2:], one_shot_images(model, pts))
+
+    @pytest.mark.parametrize("family", sorted(BLOCK_OUTERS))
+    def test_one_dimensional_point_gives_a_float(self, family):
+        model, baseline = mixture_model(BLOCK_OUTERS[family]), baseline_model(family)
+        pt = np.array([0.3, -0.2])
+        got2, got1 = predict_two_layer(model, pt), predict_single(baseline, pt)
+        assert type(got2) is float and type(got1) is float
+        assert_close(got2, one_shot_two_layer(model, pt))
+        assert_close(got1, one_shot_single(baseline, pt))
+
+
+def _traced_peak(fn, *args):
+    """Peak bytes that numpy and Python allocate while fn runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPredictionMemory:
+    def test_peak_does_not_grow_with_the_number_of_points(self):
+        # one-shot evaluation holds (D, N, m) and (N, m, D) temporaries, so its
+        # peak grows about eightfold from one block to eight
+        model = mixture_model(BLOCK_OUTERS["tensor_matern"])
+        one, eight = block_points(POINT_BLOCK), block_points(8 * POINT_BLOCK)
+        predict_two_layer(model, one)   # warm up, so lazy imports are not traced
+        peak_one = _traced_peak(predict_two_layer, model, one)
+        peak_eight = _traced_peak(predict_two_layer, model, eight)
+        assert peak_eight <= 1.5 * peak_one, (peak_one, peak_eight)
 
 
 class TestMlmkl:

@@ -8,7 +8,9 @@ import pytest
 import deepkern.gram as gram_module
 from deepkern.gram import (
     JITTERS,
+    POINT_BLOCK,
     SingularMatrixError,
+    by_point_blocks,
     energy_quadratic_form,
     gram,
     solve_interpolation,
@@ -23,6 +25,27 @@ SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 def random_spd(rng, n):
     A = rng.standard_normal((n, n))
     return A @ A.T + n * np.eye(n)
+
+
+class TestByPointBlocks:
+    @pytest.mark.parametrize("m, sizes", [
+        (0, [0]),
+        (1, [1]),
+        (POINT_BLOCK, [POINT_BLOCK]),
+        (POINT_BLOCK + 1, [POINT_BLOCK, 1]),
+        (2 * POINT_BLOCK + 3, [POINT_BLOCK, POINT_BLOCK, 3]),
+    ])
+    def test_consecutive_slices_in_order(self, m, sizes):
+        pts = np.arange(2.0 * m).reshape(m, 2)
+        seen = []
+
+        def fn(block):
+            seen.append(len(block))
+            return 2.0 * block
+
+        out = by_point_blocks(fn, pts)
+        assert seen == sizes
+        np.testing.assert_array_equal(out, 2.0 * pts)
 
 
 class TestGram:
