@@ -15,14 +15,16 @@ Interpolation (Int, lam = 0):  y^T alpha + N(c)                  [+ coth penalty
 Regression (Reg, lam, mu > 0): lam alpha^T Q alpha + |y - Q alpha|^2 + mu N(c)
 
 One core evaluates both, in two stages.  ``_objective_value`` forms Q,
-solves for alpha and returns the value with the state the gradient needs;
-``_objective_grad`` turns that state into the gradient, the only place the
-outer kernel's derivatives (``grad2_cross``) are evaluated.  Only the data
-term depends on the mode; the rest is shared and weighted by
-(s, w) = (1, 1) for Int and (lam, mu) for Reg: the value gets w N(c), and
-the gradient pulls -2 s alpha_p sum_n alpha_n d2K(g_n, g_p) back through
-dg/dc and adds 2 w Kblock c.  Gradients are exact, and one
-objective+gradient evaluation costs O(N^3 D + (N D)^2).
+solves for alpha, forms Kblock c and returns the value with the state the
+gradient needs (Q and Kblock c among it); ``_objective_grad`` turns that
+state into the gradient, the only place the outer kernel's derivatives are
+evaluated, as the vector-Jacobian product ``outer.vjp(Z, Q, alpha)`` from
+the Q that stage one already holds.  Only the data term depends on the
+mode; the rest is shared and weighted by (s, w) = (1, 1) for Int and
+(lam, mu) for Reg: the value gets w N(c) = w c^T (Kblock c), and the
+gradient pulls -2 s alpha_p sum_n alpha_n d2K(g_n, g_p) back through dg/dc
+and adds 2 w Kblock c.  Gradients are exact, and one objective+gradient
+evaluation costs O(N^3 D + (N D)^2) with no (N, N, D) temporary.
 
 ``_cached_objective_pair`` turns the core into the (f, g) pair that a fit
 minimizes and that ``deepkern gradcheck`` checks; f runs stage one and g
@@ -120,7 +122,12 @@ def q_matrix(c, prob):
 def inner_norm_sq(c, prob):
     """Squared inner-space norm of g: sum_{j,k} c_j^T Kmat(x_j, x_k) c_k."""
     cm = prob.coeff_matrix(c)
-    return float(np.einsum("jd,djk,kd->", cm, prob.B_cc, cm))
+    return float(np.sum(cm * _block_times(prob, cm)))
+
+
+def _block_times(prob, cm):
+    """Kblock c as an (Nc, D) array: sum_k Kmat(x_j, x_k) c_k."""
+    return np.einsum("djk,kd->jd", prob.B_cc, cm)
 
 
 def block_gram(inner, X):
@@ -170,8 +177,9 @@ def check_regularization(lam, mu):
 def _objective_value(c, prob, lam, mu, gamma):
     """Stage one: (value, state) of Int (lam = 0) or Reg (lam > 0).
 
-    ``state`` is (Z, alpha, s, w, dPdZ), everything ``_objective_grad``
-    needs, or None at an infeasible point, where the value is SENTINEL.
+    ``state`` is (Z, alpha, s, w, dPdZ, Q, Bc), everything
+    ``_objective_grad`` needs, or None at an infeasible point, where the
+    value is SENTINEL.  Bc = Kblock c serves both the norm and its gradient.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         Z = prob.images(c)
@@ -187,7 +195,10 @@ def _objective_value(c, prob, lam, mu, gamma):
         val, s, w = lam * float(alpha @ Qa) + float(np.sum((prob.y - Qa) ** 2)), lam, mu
     else:     # y^T Q^{-1} y, weights (s, w) = (1, 1)
         val, s, w = float(prob.y @ alpha), 1.0, 1.0
-    val += w * inner_norm_sq(c, prob)
+    cm = prob.coeff_matrix(c)
+    with np.errstate(over="ignore", invalid="ignore"):   # caught by the isfinite check below
+        Bc = _block_times(prob, cm)
+        val += w * float(np.sum(cm * Bc))
 
     dPdZ = None
     if gamma > 0.0:
@@ -197,20 +208,19 @@ def _objective_value(c, prob, lam, mu, gamma):
         val += pen
     if not math.isfinite(val):       # e.g. an overflowed inner norm or coth
         return SENTINEL, None
-    return val, (Z, alpha, s, w, dPdZ)
+    return val, (Z, alpha, s, w, dPdZ, Q, Bc)
 
 
 def _objective_grad(c, prob, state):
     """Stage two: the exact gradient from stage one's state; zero in the sentinel region."""
     if state is None:
         return np.zeros(prob.n_coeffs)
-    Z, alpha, s, w, dPdZ = state
-    G = prob.outer.grad2_cross(Z, Z)
-    dVdZ = -2.0 * s * alpha[:, None] * np.einsum("n,npd->pd", alpha, G)
+    Z, alpha, s, w, dPdZ, Q, Bc = state
+    dVdZ = -2.0 * s * alpha[:, None] * prob.outer.vjp(Z, Q, alpha)
     if dPdZ is not None:
         dVdZ = dVdZ + dPdZ
     grad = np.einsum("djn,nd->jd", prob.B_cd, dVdZ)
-    grad += 2.0 * w * np.einsum("djk,kd->jd", prob.B_cc, prob.coeff_matrix(c))
+    grad += 2.0 * w * Bc
     return grad.ravel()
 
 

@@ -9,7 +9,18 @@ Three scalar families are provided:
 where kappa_a is the modified Bessel function of the second kind.  For
 integer order s the per-coordinate factor collapses to the smooth closed
 form sqrt(pi/2) * exp(-r) * P_{s-1}(r) with a polynomial P, so no special
-function library is needed; the r -> 0 limit is built in.
+function library is needed; the r -> 0 limit is built in.  The product
+over coordinates is then (pi/2)^(D/2) exp(-sum_i r_i) prod_i P(r_i): one
+exp per entry, and no polynomial at all for s = 1.
+
+Each scalar family offers ``cross(X, Z)``, the (n, m) Gram block, and
+``vjp(Z, K, w)``, the (N, D) array sum_n w_n dk(Z_n, Z_p)/dZ_p.  For the
+Gaussian and tensor-Matern kernels the derivative is the kernel value times
+a cheap factor, so ``vjp`` reuses the Gram matrix K = cross(Z, Z) that the
+caller already holds; both methods work on (n, m) arrays one coordinate at
+a time, and neither builds an (n, m, D) temporary.  ``grad2_cross(X, Z)``,
+the (n, m, D) tensor of the same derivatives, is the reference that
+``vjp`` is tested against.
 
 Matrix-valued (diagonal) kernels come in two flavors: a scalar kernel
 scaled by a per-output weight vector, and a diagonal mixture of distinct
@@ -110,6 +121,15 @@ class PolyKernel:
         base = self.degree * (X @ Z.T + 1.0) ** (self.degree - 1)
         return base[:, :, None] * X[:, None, :]
 
+    def vjp(self, Z, K, w):
+        """sum_n w_n dk(Z_n, Z_p)/dZ_p = sum_n w_n p (Z_n.Z_p + 1)^(p-1) Z_n.
+
+        K is not used: recovering (Z_n.Z_p + 1)^(p-1) from it would divide
+        by a base that can vanish.
+        """
+        base = self.degree * (Z @ Z.T + 1.0) ** (self.degree - 1)
+        return (w[:, None] * base).T @ Z
+
 
 @dataclass(frozen=True)
 class GaussKernel:
@@ -133,7 +153,10 @@ class GaussKernel:
 
     def cross(self, X, Z):
         X, Z = _check_points(self, X), _check_points(self, Z)
-        sq = np.sum((X[:, None, :] - Z[None, :, :]) ** 2, axis=-1)
+        sq = np.zeros((len(X), len(Z)))
+        for i in range(self.dim):
+            d = np.subtract.outer(X[:, i], Z[:, i])
+            sq += d * d
         return np.exp(-sq / (2.0 * self.sigma**2))
 
     def grad2_cross(self, X, Z):
@@ -141,6 +164,19 @@ class GaussKernel:
         diff = X[:, None, :] - Z[None, :, :]
         k = np.exp(-np.sum(diff**2, axis=-1) / (2.0 * self.sigma**2))
         return k[:, :, None] * diff / self.sigma**2
+
+    def vjp(self, Z, K, w):
+        """sum_n w_n K_np (Z_n - Z_p) / sigma^2, one coordinate at a time.
+
+        The differences are formed before the sum: the expanded form
+        W^T Z - Z colsum(W) cancels to rounding noise where K is nearly
+        diagonal (sigma small against the point spacing).
+        """
+        W = w[:, None] * K
+        out = np.empty_like(Z)
+        for i in range(self.dim):
+            out[:, i] = np.einsum("np,np->p", W, np.subtract.outer(Z[:, i], Z[:, i]))
+        return out / self.sigma**2
 
 
 @dataclass(frozen=True)
@@ -174,8 +210,17 @@ class TensorMaternKernel:
 
     def cross(self, X, Z):
         X, Z = _check_points(self, X), _check_points(self, Z)
-        R = np.abs(X[:, None, :] - Z[None, :, :])
-        return np.prod(self._factors(R), axis=-1)
+        poly, _ = _matern_polys(self.order)
+        r_sum = np.zeros((len(X), len(Z)))
+        p_prod = None
+        for i in range(self.dim):
+            r = np.abs(np.subtract.outer(X[:, i], Z[:, i]))
+            r_sum += r
+            if self.order > 1:   # P = 1 at order 1
+                p = np.polyval(poly, r)
+                p_prod = p if p_prod is None else p_prod * p
+        K = SQRT_HALF_PI**self.dim * np.exp(-r_sum)
+        return K if p_prod is None else K * p_prod
 
     def grad2_cross(self, X, Z):
         X, Z = _check_points(self, X), _check_points(self, Z)
@@ -192,6 +237,27 @@ class TensorMaternKernel:
             # product over the other coordinates, left to right as np.prod multiplies
             others = [F[:, :, j] for j in range(self.dim) if j != i]
             out[:, :, i] = dF[:, :, i] * reduce(np.multiply, others) if others else dF[:, :, i]
+        return out
+
+    def vjp(self, Z, K, w):
+        """sum_n w_n K_np (P' - P)/P(r_npi) sign(Z_pi - Z_ni), one coordinate at a time.
+
+        P has positive coefficients, so P > 0 for r >= 0 and the ratio is
+        finite; at order 1 it is -1, and a coincident coordinate keeps the
+        subgradient 0 through sign(0) = 0.
+        """
+        poly, dpoly = _matern_polys(self.order)
+        W = w[:, None] * K
+        out = np.empty_like(Z)
+        for i in range(self.dim):
+            diff = np.subtract.outer(Z[:, i], Z[:, i])   # Z_ni - Z_pi
+            if self.order == 1:
+                factor = np.sign(diff)
+            else:
+                r = np.abs(diff)
+                p = np.polyval(poly, r)
+                factor = (p - np.polyval(dpoly, r)) / p * np.sign(diff)
+            out[:, i] = np.einsum("np,np->p", W, factor)
         return out
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
+from deepkern.gram import gram
 from deepkern.kernels import (
     DiagMixtureKernel,
     DiagScaledKernel,
@@ -237,6 +238,97 @@ class TestScalarGradients:
             got, want = kernel.grad2_cross(X, Z), reference(kernel, X, Z)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+
+def _points_with_coincidences(rng, n, dim, scale=1.0):
+    """Random points with one duplicated point and one shared coordinate."""
+    Z = scale * rng.standard_normal((n, dim))
+    Z[3] = Z[0]                # a duplicated point
+    Z[5, 0] = Z[4, 0]          # a coordinate two points share (sign 0)
+    return Z
+
+
+VJP_KERNELS = {
+    **{f"poly{p}": (lambda d, p=p: PolyKernel(p, d)) for p in (1, 2, 3)},
+    **{f"gauss{s}": (lambda d, s=s: GaussKernel(s, d)) for s in (0.3, 1.0, 3.0)},
+    **{f"matern{s}": (lambda d, s=s: TensorMaternKernel(s, d)) for s in (1, 2, 3)},
+}
+
+
+class TestVjp:
+    """vjp(Z, K, w) against the contraction of the (N, N, D) grad2_cross tensor."""
+
+    @pytest.mark.parametrize("make", VJP_KERNELS.values(), ids=VJP_KERNELS.keys())
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_matches_grad2_cross_contraction(self, make, dim):
+        kernel = make(dim)
+        rng = np.random.default_rng(7 * dim + 1)
+        for n, scale in ((8, 1.0), (40, 0.5), (60, 2.0)):
+            Z = _points_with_coincidences(rng, n, dim, scale)
+            w = rng.standard_normal(n)
+            G = kernel.grad2_cross(Z, Z)
+            want = np.einsum("n,npd->pd", w, G)
+            got = kernel.vjp(Z, gram(kernel, Z), w)
+            assert got.shape == (n, dim)
+            # relative to the sum of the absolute terms, so an entry whose
+            # terms cancel (or are all exactly zero) is held to the same bound
+            terms = np.einsum("n,npd->pd", np.abs(w), np.abs(G))
+            assert np.all(np.abs(got - want) <= 1e-12 * terms)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_matern_order1_shared_coordinate_gives_subgradient_zero(self, dim):
+        kernel = TensorMaternKernel(1, dim)
+        Z = np.random.default_rng(dim).standard_normal((2, dim))
+        Z[1, 0] = Z[0, 0]
+        got = kernel.vjp(Z, gram(kernel, Z), np.array([0.7, -1.3]))
+        np.testing.assert_array_equal(got[:, 0], [0.0, 0.0])
+        assert np.all(got[:, 1:] != 0.0)
+        # a duplicated point contributes nothing to either copy
+        Zd = np.vstack([Z[:1], Z[:1]])
+        np.testing.assert_array_equal(kernel.vjp(Zd, gram(kernel, Zd), np.ones(2)), 0.0)
+
+
+class TestCrossFormulas:
+    """The per-coordinate cross against the direct (n, m, D) formulas."""
+
+    @staticmethod
+    def _points(rng, n, m, dim):
+        X = rng.standard_normal((n, dim))
+        Z = rng.standard_normal((m, dim))
+        if m > 2:
+            Z[0] = X[0]                  # coincident points
+            Z[1, 0] = X[1, 0]            # a shared coordinate
+            Z[2] = X[2] + 2000.0         # far enough that the value underflows to 0
+        return X, Z
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_matern_matches_product_of_factors(self, order, dim):
+        kernel = TensorMaternKernel(order, dim)
+        rng = np.random.default_rng(10 * order + dim)
+        for n, m in ((6, 0), (6, 9), (40, 30)):
+            X, Z = self._points(rng, n, m, dim)
+            want = np.prod(kernel._factors(np.abs(X[:, None, :] - Z[None, :, :])), axis=-1)
+            got = kernel.cross(X, Z)
+            assert got.shape == (n, m)
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+            if m:
+                assert got[2, 2] == 0.0
+
+    @pytest.mark.parametrize("sigma", [0.1, 1.0, 4.0])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_gauss_matches_direct_formula(self, sigma, dim):
+        kernel = GaussKernel(sigma, dim)
+        rng = np.random.default_rng(dim)
+        for n, m in ((6, 0), (6, 9), (40, 30)):
+            X, Z = self._points(rng, n, m, dim)
+            sq = np.sum((X[:, None, :] - Z[None, :, :]) ** 2, axis=-1)
+            want = np.exp(-sq / (2.0 * sigma**2))
+            got = kernel.cross(X, Z)
+            assert got.shape == (n, m)
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+            if m:
+                assert got[2, 2] == 0.0
 
 
 class TestMatrixKernels:
