@@ -13,7 +13,7 @@ from deepkern import (
     TensorMaternKernel,
     bessel_k_half,
     energy_quadratic_form,
-    solve_interpolation,
+    fit_single,
     spd_solve,
 )
 from deepkern.gram import gram
@@ -42,7 +42,7 @@ X = rng.uniform(-1, 1, (6, 2))
 targets = np.sin(3 * X[:, 0]) * X[:, 1]
 k = GaussKernel(0.5, 2)
 M = gram(k, X)
-alpha = solve_interpolation(k, X, targets)
+alpha = fit_single(k, X, targets).alpha
 print(f"interpolation residual: {np.max(np.abs(M @ alpha - targets)):.2e}")
 print(f"native-space energy y^T M^-1 y = {energy_quadratic_form(M, targets):.4f}")
 

@@ -6,7 +6,7 @@ map g that re-aligns the kink so the outer Matern interpolant can resolve
 it; a linear (degree-1 polynomial) inner kernel suffices because a
 rotation already fixes the geometry.
 
-Run:  python3 demos/03_two_layer_interpolation.py        (about half a minute)
+Run:  python3 demos/03_two_layer_interpolation.py        (about half a second)
 """
 
 from deepkern import (

@@ -6,12 +6,10 @@ from .deep_model import (
     TwoLayerProblem,
     block_gram,
     fit_two_layer,
-    grad_objective_interp,
-    grad_objective_reg,
     inner_norm_sq,
     load_model,
     mlmkl_equivalence_check,
-    objective_interp,
+    objective_pair,
     objective_reg,
     penalty_coth,
     predict_two_layer,
@@ -24,7 +22,6 @@ from .experiments import (
     EvalGrid,
     SamplingPlan,
     cross_validate,
-    eval_test_function,
     inner_transform_dump,
     pointwise_error_grid,
     run_comparison,
@@ -33,8 +30,6 @@ from .experiments import (
 from .gram import (
     SingularMatrixError,
     energy_quadratic_form,
-    solve_interpolation,
-    solve_ridge,
     spd_solve,
 )
 from .kernels import (

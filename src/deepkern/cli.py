@@ -21,10 +21,10 @@ import sys
 
 from .deep_model import (
     TwoLayerProblem,
-    _cached_objective_pair,
     check_regularization,
     fit_two_layer,
     load_model,
+    objective_pair,
     predict_two_layer,
     save_model,
 )
@@ -286,7 +286,7 @@ def _cmd_gradcheck(args):
     if lam is None:   # fit would pick (lam, mu) by CV; check at lam = mu = 1
         lam = mu = 1.0
     prob = TwoLayerProblem(dataset.X, dataset.y, inner, outer)
-    f, g = _cached_objective_pair(prob, lam, mu, gamma)
+    f, g = objective_pair(prob, lam, mu, gamma)
     c = stream_rng(seed, "init").standard_normal(prob.n_coeffs)
     if not math.isfinite(f(c)):
         raise OptimizationError("random coefficient draw landed in the infeasible region")

@@ -26,18 +26,19 @@ gradient pulls -2 s alpha_p sum_n alpha_n d2K(g_n, g_p) back through dg/dc
 and adds 2 w Kblock c.  Gradients are exact, and one objective+gradient
 evaluation costs O(N^3 D + (N D)^2) with no (N, N, D) temporary.
 
-``_cached_objective_pair`` turns the core into the (f, g) pair that a fit
-minimizes and that ``deepkern gradcheck`` checks; f runs stage one and g
-runs stage two only at points where the line search asks for the
-gradient.  Building the pair checks the mode rule, so fit and gradcheck
-get it from one place: lam = mu = 0 is Int, anything else needs lam > 0,
-mu > 0 and no penalty.  A fitted model's alpha is stage one's alpha at
-the returned c.
+``objective_pair(prob, lam, mu, gamma)`` is the one way to evaluate the
+objective: the (f, g) pair that a fit minimizes and that ``deepkern
+gradcheck`` checks.  f runs stage one and g runs stage two, only at points
+where the line search asks for the gradient.  Building the pair checks the
+mode rule, so fit and gradcheck get it from one place: lam = mu = 0 is
+Int, anything else needs lam > 0, mu > 0 and no penalty.
+``objective_reg`` is stage one's Reg value alone, for checking a reported
+objective.  A fitted model's alpha is stage one's alpha at the returned c.
 
 Every infeasible point has the value SENTINEL = inf, a zero gradient and
-ok=False: a non-finite Q, a Q that is singular up to the largest jitter,
-coincident mapped points under the separation penalty, and any other
-non-finite value (an overflowed inner norm, say).  The line search treats
+no stage-one state: a non-finite Q, a Q that is singular up to the
+largest jitter, coincident mapped points under the separation penalty,
+and any other non-finite value (an overflowed inner norm, say).  The line search treats
 an infinite trial as a failed one and retreats; an infinite starting point
 makes the restart infeasible, so a fit with no feasible start fails.
 
@@ -224,46 +225,8 @@ def _objective_grad(c, prob, state):
     return grad.ravel()
 
 
-def _objective_core(c, prob, lam, mu, gamma, want_grad):
-    """(value, gradient, ok) of Int (lam = 0) or Reg (lam > 0); ok=False is the sentinel region."""
-    val, state = _objective_value(c, prob, lam, mu, gamma)
-    grad = _objective_grad(c, prob, state) if want_grad else None
-    return val, grad, state is not None
-
-
-def objective_interp(c, prob, gamma=0.0):
-    """y^T Q(c)^{-1} y + N(c) (+ penalty); SENTINEL at an infeasible point."""
-    return _objective_core(c, prob, 0.0, 0.0, gamma, want_grad=False)[0]
-
-
-def grad_objective_interp(c, prob, gamma=0.0):
-    """Exact gradient of objective_interp; zero vector in the sentinel region."""
-    return _objective_core(c, prob, 0.0, 0.0, gamma, want_grad=True)[1]
-
-
-def interp_value_and_grad(c, prob, gamma=0.0):
-    """(value, gradient, ok) in one pass; ok=False marks the sentinel region."""
-    return _objective_core(c, prob, 0.0, 0.0, gamma, want_grad=True)
-
-
-def objective_reg(c, prob, lam, mu):
-    """The regularized two-layer least-squares objective."""
-    check_regularization(lam, mu)
-    return _objective_core(c, prob, lam, mu, 0.0, want_grad=False)[0]
-
-
-def grad_objective_reg(c, prob, lam, mu):
-    """Exact gradient of objective_reg."""
-    check_regularization(lam, mu)
-    return _objective_core(c, prob, lam, mu, 0.0, want_grad=True)[1]
-
-
-# -----------------------------
-# Fitting driver
-# -----------------------------
-
-def _cached_objective_pair(prob, lam, mu, gamma):
-    """f/g callables sharing one value evaluation per point; the gradient is lazy.
+def objective_pair(prob, lam, mu, gamma):
+    """The objective as the (f, g) pair a fit minimizes; the gradient is lazy.
 
     The strong Wolfe line search evaluates f at every trial point but asks
     for the gradient only where sufficient decrease holds, and then at the
@@ -302,6 +265,16 @@ def _cached_objective_pair(prob, lam, mu, gamma):
     return f, g
 
 
+def objective_reg(c, prob, lam, mu):
+    """The regularized two-layer least-squares objective (stage one's value); needs lam, mu > 0."""
+    check_regularization(lam, mu)
+    return _objective_value(c, prob, lam, mu, 0.0)[0]
+
+
+# -----------------------------
+# Fitting driver
+# -----------------------------
+
 def fit_two_layer(X, y, inner, outer, lam=0.0, mu=0.0, gamma=0.0,
                   config=None, threads=1):
     """Fit a two-layer model by multistart BFGS on (Int) or (Reg).
@@ -312,7 +285,7 @@ def fit_two_layer(X, y, inner, outer, lam=0.0, mu=0.0, gamma=0.0,
     from .optimize import BfgsConfig, multistart
 
     prob = TwoLayerProblem(X, y, inner, outer)
-    f, g = _cached_objective_pair(prob, lam, mu, gamma)
+    f, g = objective_pair(prob, lam, mu, gamma)
     result = multistart(f, g, prob.n_coeffs, config or BfgsConfig(), threads=threads)
     # stage one's outer coefficients at the returned c, where the value is finite
     _, (_, alpha, *_) = _objective_value(result.x, prob, lam, mu, gamma)

@@ -15,6 +15,7 @@ byte-reproducible.
 """
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,14 +58,6 @@ def _h2(points):
 TEST_FUNCTIONS = {"h1": _h1, "h2": _h2}
 
 
-def eval_test_function(name, point):
-    """Value of a named test function at a single 2-d point."""
-    point = np.asarray(point, dtype=float)
-    if point.shape != (2,):
-        raise ValueError("test functions are defined on 2-d points")
-    return float(TEST_FUNCTIONS[name](point[None, :])[0])
-
-
 # -----------------------------
 # Sampling and grids
 # -----------------------------
@@ -102,6 +95,10 @@ def sample_dataset(tf, plan):
 @dataclass(frozen=True)
 class EvalGrid:
     meshwidth: float = 1.0 / 50.0
+
+    def __post_init__(self):
+        if not (math.isfinite(self.meshwidth) and self.meshwidth > 0.0):
+            raise ValueError(f"mesh width must be finite and positive, got {self.meshwidth!r}")
 
     def axis_points(self, i):
         lo, hi = DOMAIN[i]
@@ -258,7 +255,6 @@ class ComparisonReport:
     single_layer: ArmReport
     two_layer_model: object
     single_layer_model: object
-    cv: object = None
 
     def lines(self):
         out = [
@@ -302,7 +298,6 @@ def run_comparison(tf, outer, inner, plan, cv_plan=None, mode="interpolation",
     fit_config = dataclasses.replace(config, seed=stream_seed(plan.seed, "init"))
     baseline = _baseline_kernel(outer, dataset.X.shape[1])
 
-    cv = None
     if mode == "interpolation":
         model, result = fit_two_layer(dataset.X, dataset.y, inner, outer,
                                       config=fit_config, threads=threads)
@@ -346,7 +341,6 @@ def run_comparison(tf, outer, inner, plan, cv_plan=None, mode="interpolation",
         single_layer=ArmReport("single_layer", single_err, single_params),
         two_layer_model=model,
         single_layer_model=single,
-        cv=cv,
     )
 
 

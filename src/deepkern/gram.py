@@ -94,21 +94,6 @@ def spd_solve(M, b):
     return x, jitter
 
 
-def solve_interpolation(kernel, X, y):
-    """Coefficients alpha with M_{X,X} alpha = y."""
-    alpha, _ = spd_solve(gram(kernel, X), y)
-    return alpha
-
-
-def solve_ridge(kernel, X, y, lam):
-    """Coefficients alpha with (M_{X,X} + lam*I) alpha = y, lam > 0."""
-    if not (lam > 0.0):
-        raise ValueError("ridge parameter must be positive")
-    M = gram(kernel, X)
-    alpha, _ = spd_solve(M + lam * np.eye(M.shape[0]), y)
-    return alpha
-
-
 def energy_quadratic_form(M, y):
     """y^T M^{-1} y without forming the inverse."""
     y = np.asarray(y, dtype=float)

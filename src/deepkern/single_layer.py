@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gram import by_point_blocks, gram, solve_interpolation, solve_ridge
+from .gram import by_point_blocks, gram, spd_solve
 
 
 @dataclass(frozen=True)
@@ -23,14 +23,12 @@ def fit_single(kernel, X, y, lam=0.0):
     """Fit sum_i alpha_i K(x_i, .) by solving (M + lam*I) alpha = y."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
-    if lam < 0.0:
-        raise ValueError("lam must be nonnegative")
+    if not lam >= 0.0:   # also rejects NaN
+        raise ValueError(f"lam must be nonnegative, got {lam!r}")
     if len(y) != len(X):
         raise ValueError("X and y lengths differ")
-    if lam == 0.0:
-        alpha = solve_interpolation(kernel, X, y)
-    else:
-        alpha = solve_ridge(kernel, X, y, lam)
+    M = gram(kernel, X)
+    alpha, _ = spd_solve(M + lam * np.eye(len(M)) if lam else M, y)
     return SingleLayerModel(kernel=kernel, centers=X, alpha=alpha, lam=float(lam))
 
 

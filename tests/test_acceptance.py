@@ -14,14 +14,10 @@ import pytest
 from deepkern.cli import main
 from deepkern.deep_model import (
     TwoLayerProblem,
-    _cached_objective_pair,
     block_gram,
-    grad_objective_interp,
-    grad_objective_reg,
     inner_norm_sq,
-    interp_value_and_grad,
     mlmkl_equivalence_check,
-    objective_interp,
+    objective_pair,
     objective_reg,
     penalty_coth,
     q_matrix,
@@ -34,7 +30,6 @@ from deepkern.experiments import (
     run_comparison,
     sample_dataset,
 )
-from deepkern.gram import solve_interpolation, solve_ridge
 from deepkern.kernels import (
     DiagMixtureKernel,
     DiagScaledKernel,
@@ -113,9 +108,8 @@ class TestCriterion1GradientSuite:
             outer, inner = interp_pairs[k % len(interp_pairs)]
             n = 4 if k % 2 == 0 else 8
             prob, c = _draw_instance(rng, n, inner, outer, need_well_posed_interp=True)
-            _assert_fd_agreement(lambda v: objective_interp(v, prob),
-                                 lambda v: grad_objective_interp(v, prob),
-                                 c, f"interp draw {k}")
+            f, g = objective_pair(prob, 0.0, 0.0, 0.0)
+            _assert_fd_agreement(f, g, c, f"interp draw {k}")
             count += 1
         # 100 regression draws over every pairing; lam, mu in [0.1, 1] keep the
         # FD oracle itself accurate (small lam against the rank-deficient
@@ -128,9 +122,8 @@ class TestCriterion1GradientSuite:
             lam = 10.0 ** rng.uniform(-1, 0)
             mu = 10.0 ** rng.uniform(-1, 0)
             prob, c = _draw_instance(rng, n, inner, outer, need_well_posed_interp=False)
-            _assert_fd_agreement(lambda v: objective_reg(v, prob, lam, mu),
-                                 lambda v: grad_objective_reg(v, prob, lam, mu),
-                                 c, f"reg draw {k}")
+            f, g = objective_pair(prob, lam, mu, 0.0)
+            _assert_fd_agreement(f, g, c, f"reg draw {k}")
             count += 1
         elapsed = time.monotonic() - start
         assert elapsed <= 60.0, f"gradient suite took {elapsed:.1f}s"
@@ -159,12 +152,12 @@ class TestCriterion3ClosedFormOracles:
     def test_named_oracles(self):
         # N = 1 solves
         np.testing.assert_allclose(
-            solve_interpolation(GaussKernel(1.0, 2), [[0.1, 0.2]], [3.0]), [3.0])
+            fit_single(GaussKernel(1.0, 2), [[0.1, 0.2]], [3.0]).alpha, [3.0])
         np.testing.assert_allclose(
-            solve_interpolation(TensorMaternKernel(1, 2), [[0.4, -0.2]], [math.pi / 2.0]),
+            fit_single(TensorMaternKernel(1, 2), [[0.4, -0.2]], [math.pi / 2.0]).alpha,
             [1.0], rtol=1e-12)
         np.testing.assert_allclose(
-            solve_ridge(GaussKernel(1.0, 2), [[0.0, 0.0]], [2.0], lam=1.0), [1.0])
+            fit_single(GaussKernel(1.0, 2), [[0.0, 0.0]], [2.0], lam=1.0).alpha, [1.0])
         np.testing.assert_allclose(
             fit_single(GaussKernel(1.0, 2), [[0.0, 0.0]], [5.0], lam=4.0).alpha, [1.0])
 
@@ -177,7 +170,8 @@ class TestCriterion3ClosedFormOracles:
         c = rng.standard_normal(prob.n_coeffs)
         assert inner_norm_sq(c, prob) == pytest.approx(c @ B @ c, rel=1e-12)
         Q = q_matrix(c, prob)
-        assert objective_interp(c, prob) == pytest.approx(
+        f, _ = objective_pair(prob, 0.0, 0.0, 0.0)
+        assert f(c) == pytest.approx(
             y @ np.linalg.inv(Q) @ y + c @ B @ c, rel=1e-10)
 
         # alpha-side identity for the regression energy terms
@@ -218,7 +212,7 @@ class TestCriterion4RepresenterConsistency:
             objs = {}
             for label, centers in (("base", None), ("aug", np.vstack([X, extra]))):
                 prob = TwoLayerProblem(X, y, inner, outer, centers=centers)
-                f, g = _cached_objective_pair(prob, 0.0, 0.0, 0.0)
+                f, g = objective_pair(prob, 0.0, 0.0, 0.0)
                 objs[label] = multistart(f, g, prob.n_coeffs, cfg).objective
             rel = (objs["base"] - objs["aug"]) / abs(objs["base"])
             worst = max(worst, rel)
@@ -286,16 +280,19 @@ class TestCriterion7CostScaling:
             prob = TwoLayerProblem(ds.X, ds.y, inner, outer)
             rng = np.random.default_rng(56)
             c = rng.standard_normal(prob.n_coeffs)
-            interp_value_and_grad(c, prob)   # warm up caches and JIT-y paths
+            f, g = objective_pair(prob, 0.0, 0.0, 0.0)
+            f(c), g(c)   # warm up caches and JIT-y paths
             reps = 20
             samples = []
             for _ in range(5):
                 t0 = time.perf_counter()
                 for _ in range(reps):
-                    val, grad, ok = interp_value_and_grad(c, prob)
+                    # a fresh pair per call: one full value and gradient, no cache hit
+                    f, g = objective_pair(prob, 0.0, 0.0, 0.0)
+                    val, grad = f(c), g(c)
                 samples.append((time.perf_counter() - t0) / reps)
             times[n] = min(samples)
-            assert ok and np.all(np.isfinite(grad))
+            assert math.isfinite(val) and np.all(np.isfinite(grad))
         r1 = times[50] / times[25]
         r2 = times[100] / times[50]
         assert r1 <= 10.0 and r2 <= 10.0, f"growth factors {r1:.1f}, {r2:.1f}"

@@ -236,6 +236,22 @@ class TestOtherCommands:
         assert lines[0] == "t1,t2,g1,g2"
         assert len(lines) == 1 + 81
 
+    @pytest.mark.parametrize("command", ["error-grid", "inner-map"])
+    @pytest.mark.parametrize("meshwidth", ["0", "-0.1", "nan"])
+    def test_bad_mesh_width_exits_2(self, tmp_path, capsys, command, meshwidth):
+        model = TwoLayerModel(
+            X=np.zeros((1, 2)), inner=DiagScaledKernel(PolyKernel(1, 2), weights=(1.0, 1.0)),
+            outer=GaussKernel(1.0, 2), c=np.zeros((1, 2)), alpha=np.ones(1),
+            lam=0.0, mu=0.0, gamma=0.0, objective_value=1.0)
+        model_path = str(tmp_path / "model.json")
+        save_model(model, model_path)
+        extra = ["--function", "h1"] if command == "error-grid" else []
+        out_csv = tmp_path / "out.csv"
+        assert main([command, "--model", model_path, *extra, "--meshwidth", meshwidth,
+                     "--out", str(out_csv)]) == 2
+        assert "mesh width must be finite and positive" in capsys.readouterr().err
+        assert not out_csv.exists()
+
     def test_missing_model_file_exits_2(self, tmp_path):
         assert main(["predict", "--model", str(tmp_path / "nope.txt"),
                      "--points", str(tmp_path / "nope.csv")]) == 2

@@ -15,18 +15,14 @@ from deepkern.deep_model import (
     SENTINEL,
     TwoLayerModel,
     TwoLayerProblem,
-    _cached_objective_pair,
-    _objective_core,
+    _objective_grad,
     _objective_value,
     block_gram,
     fit_two_layer,
-    grad_objective_interp,
-    grad_objective_reg,
     inner_norm_sq,
-    interp_value_and_grad,
     load_model,
     mlmkl_equivalence_check,
-    objective_interp,
+    objective_pair,
     objective_reg,
     penalty_coth,
     predict_two_layer,
@@ -42,7 +38,7 @@ from deepkern.kernels import (
     PolyKernel,
     TensorMaternKernel,
 )
-from deepkern.optimize import BfgsConfig, finite_diff_grad, multistart
+from deepkern.optimize import BfgsConfig, OptimizationError, finite_diff_grad, multistart
 from deepkern.single_layer import SingleLayerModel, predict_single
 
 POLY1 = DiagScaledKernel(PolyKernel(1, 2), weights=(1.0, 1.0))
@@ -54,6 +50,15 @@ def small_problem(n=4, seed=0, inner=POLY1, outer=GAUSS_OUT, y=None):
     X = rng.uniform(-1, 1, (n, 2))
     y = rng.standard_normal(n) if y is None else np.asarray(y, dtype=float)
     return TwoLayerProblem(X, y, inner, outer)
+
+
+def _uncached(c, prob, lam, mu, gamma):
+    """(value, gradient, ok) from the two stages directly, with no cache between them.
+
+    ok=False marks the sentinel region, where stage one keeps no state.
+    """
+    val, state = _objective_value(c, prob, lam, mu, gamma)
+    return val, _objective_grad(c, prob, state), state is not None
 
 
 def inner_at(c, inner, X, x):
@@ -122,27 +127,30 @@ class TestInnerNorm:
 class TestObjectiveInterp:
     def test_single_point_zero_coeffs(self):
         prob = small_problem(n=1, y=[2.0])
-        assert objective_interp(np.zeros(2), prob) == pytest.approx(4.0)
+        f, _ = objective_pair(prob, 0.0, 0.0, 0.0)
+        assert f(np.zeros(2)) == pytest.approx(4.0)
 
     def test_zero_targets_reduce_to_norm(self):
         prob = small_problem(n=4, seed=1, y=np.zeros(4))
+        f, _ = objective_pair(prob, 0.0, 0.0, 0.0)
         rng = np.random.default_rng(4)
         for _ in range(5):
             c = rng.standard_normal(prob.n_coeffs)
-            assert objective_interp(c, prob) == pytest.approx(inner_norm_sq(c, prob), rel=1e-10)
+            assert f(c) == pytest.approx(inner_norm_sq(c, prob), rel=1e-10)
 
     def test_matches_dense_inverse(self):
         prob = small_problem(n=2, seed=7)
+        f, _ = objective_pair(prob, 0.0, 0.0, 0.0)
         rng = np.random.default_rng(8)
         for _ in range(10):
             c = rng.standard_normal(prob.n_coeffs)
             Q = q_matrix(c, prob)
             expected = prob.y @ np.linalg.inv(Q) @ prob.y + inner_norm_sq(c, prob)
-            assert objective_interp(c, prob) == pytest.approx(expected, rel=1e-10)
+            assert f(c) == pytest.approx(expected, rel=1e-10)
 
     def test_nonfinite_images_hit_sentinel(self):
         prob = small_problem(n=3, seed=9, outer=PolyKernel(2, 2))
-        val, grad, ok = interp_value_and_grad(np.full(prob.n_coeffs, 1e200), prob)
+        val, grad, ok = _uncached(np.full(prob.n_coeffs, 1e200), prob, 0.0, 0.0, 0.0)
         assert val == SENTINEL
         assert not ok
         np.testing.assert_array_equal(grad, np.zeros(prob.n_coeffs))
@@ -174,7 +182,7 @@ class TestPenaltyCoth:
     def test_coincident_images_sentinel(self):
         prob = small_problem(n=3)
         assert penalty_coth(np.zeros(prob.n_coeffs), prob, 1.0) == SENTINEL
-        val, grad, ok = interp_value_and_grad(np.zeros(prob.n_coeffs), prob, gamma=1.0)
+        val, grad, ok = _uncached(np.zeros(prob.n_coeffs), prob, 0.0, 0.0, 1.0)
         assert val == SENTINEL and not ok
 
 
@@ -212,6 +220,8 @@ class TestObjectiveReg:
         prob = small_problem()
         with pytest.raises(ValueError):
             objective_reg(np.zeros(prob.n_coeffs), prob, 0.0, 1.0)
+        with pytest.raises(ValueError):   # not a quiet evaluation of Int
+            objective_reg(np.zeros(prob.n_coeffs), prob, 0.0, 0.0)
 
 
 # The linear (poly-1) outer kernel spans a (D+1)-dimensional space, so its
@@ -248,6 +258,17 @@ def _inner_kernels(D):
     )
 
 
+_FEASIBILITY_OUTER = {
+    "poly1": lambda D: PolyKernel(1, D),
+    "poly3": lambda D: PolyKernel(3, D),
+    "gauss": lambda D: GaussKernel(1.0, D),
+    "matern1": lambda D: TensorMaternKernel(1, D),
+    "matern3": lambda D: TensorMaternKernel(3, D),
+}
+_FEASIBILITY_INNER = {"poly": PolyKernel(1, 2), "gauss": GaussKernel(0.8, 2),
+                      "matern": TensorMaternKernel(2, 2)}
+
+
 def _fd_ok(prob, f, g, c, rel_tol=1e-5):
     fd = finite_diff_grad(f, c, h=1e-6)
     ga = g(c)
@@ -277,8 +298,7 @@ class TestGradients:
             prob = small_problem(n=n, seed=20 + n, inner=inner, outer=outer)
             for _ in range(3):
                 c = _draw_regular_c(prob, rng)
-                _fd_ok(prob, lambda v: objective_interp(v, prob),
-                       lambda v: grad_objective_interp(v, prob), c)
+                _fd_ok(prob, *objective_pair(prob, 0.0, 0.0, 0.0), c)
 
     @pytest.mark.parametrize("outer,inner", ALL_PAIRINGS)
     def test_reg_gradient_fd(self, outer, inner):
@@ -287,16 +307,14 @@ class TestGradients:
             prob = small_problem(n=n, seed=30 + n, inner=inner, outer=outer)
             for _ in range(3):
                 c = _draw_regular_c(prob, rng)
-                _fd_ok(prob, lambda v: objective_reg(v, prob, 0.5, 0.25),
-                       lambda v: grad_objective_reg(v, prob, 0.5, 0.25), c)
+                _fd_ok(prob, *objective_pair(prob, 0.5, 0.25, 0.0), c)
 
     def test_interp_gradient_with_penalty_fd(self):
         prob = small_problem(n=4, seed=41)
         rng = np.random.default_rng(42)
         for _ in range(5):
             c = _draw_regular_c(prob, rng)
-            _fd_ok(prob, lambda v: objective_interp(v, prob, gamma=0.3),
-                   lambda v: grad_objective_interp(v, prob, gamma=0.3), c)
+            _fd_ok(prob, *objective_pair(prob, 0.0, 0.0, 0.3), c)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -320,22 +338,27 @@ class TestGradients:
             assume(np.min(gaps) > 1e-3)
         # rounding in the value grows with cond(Q), and the differences divide it by h
         assume(np.linalg.cond(q_matrix(c, prob)) < 1e5)
-        val, grad, ok = _objective_core(c, prob, lam, mu, gamma, want_grad=True)
-        assume(ok)
-        fd = finite_diff_grad(lambda v: _objective_core(v, prob, lam, mu, gamma, False)[0], c, h=1e-5)
+        f, g = objective_pair(prob, lam, mu, gamma)
+        val = f(c)
+        assume(val != SENTINEL)
+        grad = g(c)
+        fd = finite_diff_grad(f, c, h=1e-5)
         np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-6 * max(1.0, abs(val)))
 
     def test_zero_targets_gradient_is_norm_gradient(self):
         prob = small_problem(n=4, seed=43, y=np.zeros(4))
         B = block_gram(prob.inner, prob.X)
         c = np.random.default_rng(44).standard_normal(prob.n_coeffs)
-        np.testing.assert_allclose(grad_objective_interp(c, prob), 2.0 * B @ c, rtol=1e-9)
+        _, g = objective_pair(prob, 0.0, 0.0, 0.0)
+        np.testing.assert_allclose(g(c), 2.0 * B @ c, rtol=1e-9)
 
     def test_reg_gradient_mu_scaling(self):
         prob = small_problem(n=5, seed=45)
         B = block_gram(prob.inner, prob.X)
         c = np.random.default_rng(46).standard_normal(prob.n_coeffs)
-        diff = grad_objective_reg(c, prob, 0.5, 2.0) - grad_objective_reg(c, prob, 0.5, 0.5)
+        _, g_strong = objective_pair(prob, 0.5, 2.0, 0.0)
+        _, g_weak = objective_pair(prob, 0.5, 0.5, 0.0)
+        diff = g_strong(c) - g_weak(c)
         np.testing.assert_allclose(diff, 2.0 * 1.5 * B @ c, rtol=1e-9)
 
 
@@ -389,10 +412,10 @@ class TestFitTwoLayer:
         import threading
 
         prob = small_problem(n=3, seed=64)
-        f, g = _cached_objective_pair(prob, 0.0, 0.0, 0.0)
+        f, g = objective_pair(prob, 0.0, 0.0, 0.0)
         rng = np.random.default_rng(64)
         points = [[rng.standard_normal(prob.n_coeffs) for _ in range(3)] for _ in range(4)]
-        want = {c.tobytes(): _objective_core(c, prob, 0.0, 0.0, 0.0, want_grad=True)
+        want = {c.tobytes(): _uncached(c, prob, 0.0, 0.0, 0.0)
                 for pts in points for c in pts}
         wrong = []
 
@@ -420,17 +443,40 @@ class TestFitTwoLayer:
         assert not any(t.is_alive() for t in threads)
         assert wrong == []
 
-    def test_threaded_regression_matches_sequential(self):
-        rng = np.random.default_rng(62)
-        X = rng.uniform(-1, 1, (8, 2))
-        y = rng.standard_normal(8)
-        config = BfgsConfig(restarts=4, max_iters=40, seed=62)
-        fits = [fit_two_layer(X, y, POLY1, GAUSS_OUT, lam=1e-2, mu=1e-2,
-                              config=config, threads=threads)[0]
-                for threads in (1, 2)]
-        np.testing.assert_array_equal(fits[0].c, fits[1].c)
-        np.testing.assert_array_equal(fits[0].alpha, fits[1].alpha)
-        assert fits[0].objective_value == fits[1].objective_value
+    @settings(max_examples=40, deadline=None)
+    @given(
+        mode=st.sampled_from([(0.0, 0.0, 0.0), (0.0, 0.0, 0.5), (1e-2, 1e-2, 0.0)]),
+        outer=st.sampled_from(sorted(_FEASIBILITY_OUTER)),
+        D=st.integers(1, 3),
+        n=st.integers(2, 6),
+        seed=st.integers(0, 2**16),
+        max_iters=st.just(15),
+    )
+    # the fixed Reg case: N = 8 on the Gaussian outer kernel, 40 iterations
+    @example(mode=(1e-2, 1e-2, 0.0), outer="gauss", D=2, n=8, seed=62, max_iters=40)
+    def test_threaded_regression_matches_sequential(self, mode, outer, D, n, seed, max_iters):
+        """Int, Int with gamma and Reg: threads=2 gives threads=1's fit bit for bit, or both fail."""
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-1, 1, (n, 2))
+        y = rng.standard_normal(n)
+        inner = DiagScaledKernel(PolyKernel(1, 2), weights=(1.0,) * D)
+        lam, mu, gamma = mode
+        config = BfgsConfig(restarts=4, max_iters=max_iters, seed=seed)
+        fits = []
+        for threads in (1, 2):
+            try:
+                fits.append(fit_two_layer(X, y, inner, _FEASIBILITY_OUTER[outer](D), lam=lam,
+                                          mu=mu, gamma=gamma, config=config, threads=threads))
+            except OptimizationError:
+                fits.append(None)
+        if None in fits:
+            assert fits == [None, None]
+            return
+        (m1, r1), (m2, r2) = fits
+        assert m1.c.tobytes() == m2.c.tobytes()
+        assert m1.alpha.tobytes() == m2.alpha.tobytes()
+        assert np.float64(m1.objective_value).tobytes() == np.float64(m2.objective_value).tobytes()
+        assert (r1.restart_index, r1.iterations) == (r2.restart_index, r2.iterations)
 
     @pytest.mark.parametrize("lam, mu", [(1.0, 0.0), (0.0, 1.0), (-1.0, 1.0), (1.0, float("nan"))])
     def test_bad_regularization_is_a_config_error(self, lam, mu):
@@ -480,7 +526,7 @@ class TestLazyGradient:
         c2 = data.draw(coeffs, label="c2")
         order = data.draw(st.sampled_from(["f, g", "g first", "f only, then move"]), label="order")
 
-        f, g = _cached_objective_pair(prob, lam, mu, gamma)
+        f, g = objective_pair(prob, lam, mu, gamma)
         if order == "f, g":
             got = [(c1, f(c1), g(c1))]
         elif order == "g first":
@@ -490,7 +536,7 @@ class TestLazyGradient:
             v1, v2 = f(c1), f(c2)
             got = [(c2, v2, g(c2)), (c1, v1, g(c1))]
         for c, val, grad in got:
-            w_val, w_grad, _ = _objective_core(c, prob, lam, mu, gamma, want_grad=True)
+            w_val, w_grad, _ = _uncached(c, prob, lam, mu, gamma)
             # bitwise, so a NaN value would compare too
             assert np.float64(val).tobytes() == np.float64(w_val).tobytes()
             assert grad.tobytes() == w_grad.tobytes()
@@ -498,7 +544,7 @@ class TestLazyGradient:
     def test_gradient_only_where_requested(self):
         outer = _CountingGauss(1.0, 2)
         prob = small_problem(n=6, seed=71, outer=outer)
-        f, g = _cached_objective_pair(prob, 0.0, 0.0, 0.0)
+        f, g = objective_pair(prob, 0.0, 0.0, 0.0)
         g_points = set()
 
         def g_logged(c):
@@ -509,17 +555,6 @@ class TestLazyGradient:
         assert outer.calls["vjp"] == len(g_points)
         assert outer.calls["vjp"] < outer.calls["cross"]
         assert outer.calls["grad2_cross"] == 0
-
-
-_FEASIBILITY_OUTER = {
-    "poly1": lambda D: PolyKernel(1, D),
-    "poly3": lambda D: PolyKernel(3, D),
-    "gauss": lambda D: GaussKernel(1.0, D),
-    "matern1": lambda D: TensorMaternKernel(1, D),
-    "matern3": lambda D: TensorMaternKernel(3, D),
-}
-_FEASIBILITY_INNER = {"poly": PolyKernel(1, 2), "gauss": GaussKernel(0.8, 2),
-                      "matern": TensorMaternKernel(2, 2)}
 
 
 class TestFeasibility:
@@ -548,7 +583,7 @@ class TestFeasibility:
                              inner=DiagScaledKernel(_FEASIBILITY_INNER[inner], weights=(1.0,) * D))
         c = scale * np.array(unit[:prob.n_coeffs])
         lam, mu, gamma = mode
-        val, grad, ok = _objective_core(c, prob, lam, mu, gamma, want_grad=True)
+        val, grad, ok = _uncached(c, prob, lam, mu, gamma)
         if ok:
             assert math.isfinite(val)
             assert np.all(np.isfinite(grad))

@@ -5,6 +5,7 @@ import pytest
 
 from deepkern.deep_model import TwoLayerModel
 from deepkern.experiments import (
+    TEST_FUNCTIONS,
     CvPlan,
     Dataset,
     EvalGrid,
@@ -12,7 +13,6 @@ from deepkern.experiments import (
     cross_validate,
     decade_grid,
     dyadic_grid,
-    eval_test_function,
     fold_blocks,
     inner_transform_dump,
     pointwise_error_grid,
@@ -31,28 +31,32 @@ from deepkern.single_layer import fit_single, predict_single
 POLY1 = DiagScaledKernel(PolyKernel(1, 2), weights=(1.0, 1.0))
 
 
+def _value_at(name, point):
+    """A named test function at one 2-d point."""
+    return float(TEST_FUNCTIONS[name](np.array([point], dtype=float))[0])
+
+
 class TestTestFunctions:
     def test_h1_on_diagonal(self):
-        assert eval_test_function("h1", [0.0, 0.0]) == pytest.approx(10.0)
+        assert _value_at("h1", [0.0, 0.0]) == pytest.approx(10.0)
 
     def test_h1_corner(self):
-        assert eval_test_function("h1", [1.0, -1.0]) == pytest.approx(1.0 / 2.1)
-        assert eval_test_function("h1", [1.0, -1.0]) == pytest.approx(0.476190, abs=1e-6)
+        assert _value_at("h1", [1.0, -1.0]) == pytest.approx(1.0 / 2.1)
+        assert _value_at("h1", [1.0, -1.0]) == pytest.approx(0.476190, abs=1e-6)
 
     def test_h2_indicator(self):
-        assert eval_test_function("h2", [0.5, 0.5]) == 1.0
-        assert eval_test_function("h2", [0.1, 0.1]) == 0.0
+        assert _value_at("h2", [0.5, 0.5]) == 1.0
+        assert _value_at("h2", [0.1, 0.1]) == 0.0
 
     def test_h2_boundary_is_strict(self):
         # x*y must strictly exceed 3/20
-        assert eval_test_function("h2", [0.3, 0.5]) == 0.0
+        assert _value_at("h2", [0.3, 0.5]) == 0.0
 
 
 class TestSampling:
     def test_zero_noise_exact_targets(self):
         plan = SamplingPlan(n_samples=50, noise_sigma=0.0, seed=3)
         ds = sample_dataset("h1", plan)
-        from deepkern.experiments import TEST_FUNCTIONS
         np.testing.assert_array_equal(ds.y, TEST_FUNCTIONS["h1"](ds.X))
 
     def test_determinism(self):
@@ -69,7 +73,6 @@ class TestSampling:
     def test_noise_mean_is_centered(self):
         plan = SamplingPlan(n_samples=100000, noise_sigma=0.01, seed=5)
         ds = sample_dataset("h1", plan)
-        from deepkern.experiments import TEST_FUNCTIONS
         noise = ds.y - TEST_FUNCTIONS["h1"](ds.X)
         assert -0.001 <= float(np.mean(noise)) <= 0.001
 
@@ -87,6 +90,11 @@ class TestEvalGrid:
         pts = EvalGrid(meshwidth=1.0).points()   # 3x3 grid
         np.testing.assert_allclose(pts[:3, 0], [-1.0, -1.0, -1.0])
         np.testing.assert_allclose(pts[:3, 1], [-1.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("meshwidth", [0.0, -0.1, float("nan"), float("inf")])
+    def test_mesh_width_must_be_finite_and_positive(self, meshwidth):
+        with pytest.raises(ValueError, match="mesh width must be finite and positive"):
+            EvalGrid(meshwidth=meshwidth)
 
 
 class TestFolds:
@@ -155,7 +163,6 @@ class TestBaselineSanity:
 
 class TestPointwiseErrorGrid:
     def test_exact_predictor_zero_error(self):
-        from deepkern.experiments import TEST_FUNCTIONS
         grid = EvalGrid(meshwidth=0.1)
         err = pointwise_error_grid(TEST_FUNCTIONS["h1"], "h1", grid)
         assert err.max_error == 0.0 and err.mean_error == 0.0

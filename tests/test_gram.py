@@ -13,11 +13,10 @@ from deepkern.gram import (
     by_point_blocks,
     energy_quadratic_form,
     gram,
-    solve_interpolation,
-    solve_ridge,
     spd_solve,
 )
 from deepkern.kernels import GaussKernel, PolyKernel, TensorMaternKernel
+from deepkern.single_layer import fit_single
 
 SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 
@@ -138,16 +137,18 @@ class TestSpdSolve:
 
 
 class TestSolvers:
+    """The single-layer solve (M + lam I) alpha = y, with lam = 0 for interpolation."""
+
     def test_interpolation_single_gauss(self):
-        alpha = solve_interpolation(GaussKernel(1.0, 2), [[0.0, 0.0]], [3.0])
+        alpha = fit_single(GaussKernel(1.0, 2), [[0.0, 0.0]], [3.0]).alpha
         np.testing.assert_allclose(alpha, [3.0])
 
     def test_interpolation_single_matern(self):
-        alpha = solve_interpolation(TensorMaternKernel(1, 2), [[0.2, 0.5]], [math.pi / 2.0])
+        alpha = fit_single(TensorMaternKernel(1, 2), [[0.2, 0.5]], [math.pi / 2.0]).alpha
         np.testing.assert_allclose(alpha, [1.0], rtol=1e-12)
 
     def test_interpolation_poly_pair(self):
-        alpha = solve_interpolation(PolyKernel(1, 2), [[1.0, 0.0], [0.0, 1.0]], [3.0, 3.0])
+        alpha = fit_single(PolyKernel(1, 2), [[1.0, 0.0], [0.0, 1.0]], [3.0, 3.0]).alpha
         np.testing.assert_allclose(alpha, [1.0, 1.0], rtol=1e-12)
 
     def test_interpolation_reproduces_data(self):
@@ -155,12 +156,12 @@ class TestSolvers:
         k = GaussKernel(0.5, 2)
         X = rng.uniform(-1, 1, (12, 2))
         y = rng.standard_normal(12)
-        alpha = solve_interpolation(k, X, y)
+        alpha = fit_single(k, X, y).alpha
         resid = gram(k, X) @ alpha - y
         assert np.max(np.abs(resid)) <= 1e-7 * np.max(np.abs(y))
 
     def test_ridge_single_point(self):
-        alpha = solve_ridge(GaussKernel(1.0, 2), [[0.0, 0.0]], [2.0], lam=1.0)
+        alpha = fit_single(GaussKernel(1.0, 2), [[0.0, 0.0]], [2.0], lam=1.0).alpha
         np.testing.assert_allclose(alpha, [1.0])
 
     def test_ridge_limit_is_interpolation(self):
@@ -168,8 +169,8 @@ class TestSolvers:
         k = GaussKernel(0.7, 2)
         X = rng.uniform(-1, 1, (10, 2))
         y = rng.standard_normal(10)
-        a0 = solve_interpolation(k, X, y)
-        a1 = solve_ridge(k, X, y, lam=1e-10)
+        a0 = fit_single(k, X, y).alpha
+        a1 = fit_single(k, X, y, lam=1e-10).alpha
         np.testing.assert_allclose(a1, a0, rtol=1e-6)
 
     def test_ridge_far_apart_points(self):
@@ -177,12 +178,8 @@ class TestSolvers:
         k = GaussKernel(0.1, 2)
         X = np.array([[0.0, 0.0], [100.0, 100.0]])
         y = np.array([2.0, -4.0])
-        alpha = solve_ridge(k, X, y, lam=0.5)
+        alpha = fit_single(k, X, y, lam=0.5).alpha
         np.testing.assert_allclose(alpha, y / 1.5, rtol=1e-12)
-
-    def test_ridge_requires_positive_lambda(self):
-        with pytest.raises(ValueError):
-            solve_ridge(GaussKernel(1.0, 2), [[0.0, 0.0]], [1.0], lam=0.0)
 
 
 class TestEnergyQuadraticForm:

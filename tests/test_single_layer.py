@@ -25,6 +25,10 @@ class TestFitSingle:
         with pytest.raises(ValueError):
             fit_single(GaussKernel(1.0, 2), [[0.0, 0.0]], [1.0], lam=-1.0)
 
+    def test_nan_lambda_rejected(self):
+        with pytest.raises(ValueError, match="lam must be nonnegative"):
+            fit_single(GaussKernel(1.0, 2), [[0.0, 0.0]], [1.0], lam=float("nan"))
+
 
 class TestPredictSingle:
     def test_reproduces_training_value(self):
