@@ -35,6 +35,17 @@ Int, anything else needs lam > 0, mu > 0 and no penalty.
 ``objective_reg`` is stage one's Reg value alone, for checking a reported
 objective.  A fitted model's alpha is stage one's alpha at the returned c.
 
+The objective sees c only through B_cd[l]^T c_l (the images) and
+c_l^T B_cc[l] c_l (the norm), per output l.  Both the data-term and the
+norm gradients of output l lie in range(B_cc[l]) (with extra centers too:
+the joint Gram matrix of centers and data is PSD, so the columns of B_cd[l]
+lie in that range).  So BFGS never leaves its start's translate of these
+ranges, and a fit runs it on the range part only: ``range_basis`` stacks
+the eigenvectors of each B_cc[l] with eigenvalues above ``RANGE_CUTOFF``
+times that block's largest into an orthonormal (N D, r) basis, once per
+fit, and ``optimize`` iterates on r coordinates instead of N D.  The
+objective and the model keep the full c.
+
 Every infeasible point has the value SENTINEL = inf, a zero gradient and
 no stage-one state: a non-finite Q, a Q that is singular up to the
 largest jitter, coincident mapped points under the separation penalty,
@@ -58,6 +69,7 @@ from .gram import SingularMatrixError, by_point_blocks, gram, spd_solve
 from .kernels import matrix_from_params, matrix_to_params, scalar_from_params, scalar_to_params
 
 SENTINEL = math.inf   # the value of every infeasible point
+RANGE_CUTOFF = 1e-12  # range_basis keeps eigenvalues above this times the block's largest
 
 
 # -----------------------------
@@ -275,18 +287,40 @@ def objective_reg(c, prob, lam, mu):
 # Fitting driver
 # -----------------------------
 
+def range_basis(prob):
+    """Orthonormal (n_coeffs, r) basis of the coefficient directions the objective sees.
+
+    Output l owns the coordinates l::D of the flat c; its columns are the
+    eigenvectors of B_cc[l] whose eigenvalues exceed RANGE_CUTOFF times the
+    largest, so r is the summed numerical rank of the D blocks.
+    """
+    D = prob.out_dim
+    kept = []
+    for l in range(D):
+        w, V = np.linalg.eigh(prob.B_cc[l])
+        kept.append(V[:, w > RANGE_CUTOFF * w[-1]])
+    U = np.zeros((prob.n_coeffs, sum(V.shape[1] for V in kept)))
+    col = 0
+    for l, V in enumerate(kept):
+        U[l::D, col:col + V.shape[1]] = V
+        col += V.shape[1]
+    return U
+
+
 def fit_two_layer(X, y, inner, outer, lam=0.0, mu=0.0, gamma=0.0,
                   config=None, threads=1):
     """Fit a two-layer model by multistart BFGS on (Int) or (Reg).
 
     lam = mu = 0 selects interpolation; otherwise both must be positive.
+    BFGS runs on the range part of c (see ``range_basis``).
     Returns (model, optimization_result).
     """
     from .optimize import BfgsConfig, multistart
 
     prob = TwoLayerProblem(X, y, inner, outer)
     f, g = objective_pair(prob, lam, mu, gamma)
-    result = multistart(f, g, prob.n_coeffs, config or BfgsConfig(), threads=threads)
+    result = multistart(f, g, prob.n_coeffs, config or BfgsConfig(), threads=threads,
+                        basis=range_basis(prob))
     # stage one's outer coefficients at the returned c, where the value is finite
     _, (_, alpha, *_) = _objective_value(result.x, prob, lam, mu, gamma)
     model = TwoLayerModel(

@@ -367,11 +367,6 @@ def _write_csv(path, header, rows):
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def write_dataset_csv(path, dataset):
-    header = [f"x{i+1}" for i in range(dataset.X.shape[1])] + ["y"]
-    _write_csv(path, header, np.column_stack([dataset.X, dataset.y]))
-
-
 def _read_csv_rows(path, what):
     """Header fields and an (n, fields) float array; bad rows raise with their line number."""
     with open(path) as fh:

@@ -1,11 +1,19 @@
 """Seeded BFGS with strong Wolfe line search and a multistart driver.
 
-The problems here are a few hundred dimensions at most, so a full dense
-inverse Hessian is kept (no limited-memory variant).  It is updated with
-the BFGS formula of Nocedal & Wright, *Numerical Optimization* (2nd ed.),
-eq. 6.17, expanded into one matrix-vector product and rank-one outer
-products, so an update costs O(n^2) rather than the O(n^3) of forming
-``V H V^T``.
+BFGS runs in range-space coordinates: given an (n, r) matrix U with
+orthonormal columns, the iterate is x = x0 + U v and BFGS moves v in R^r,
+starting at v = 0.  The caller supplies U when it knows the objective's
+gradient always lies in range(U) (then BFGS could never leave x0 + range(U)
+anyway); ``basis=None`` means U = I.  f and g stay functions of x: the
+search direction and the update use the pulled-back gradient U^T g(x),
+and the stopping test is the infinity norm of g(x) itself.
+
+A full dense r x r inverse Hessian is kept (no limited-memory variant).
+It is updated with the BFGS formula of Nocedal & Wright, *Numerical
+Optimization* (2nd ed.), eq. 6.17, expanded into one matrix-vector
+product and rank-one outer products, so an update costs O(r^2) rather
+than the O(r^3) of forming ``V H V^T``; building a trial point and
+pulling a gradient back cost O(n r) each.
 
 An objective marks an infeasible point (a numerically singular Gram
 matrix, say) with the value inf; a line-search trial there fails like any
@@ -17,10 +25,10 @@ A restart whose starting point has a non-finite objective raises
 exception from the objective propagates, so a configuration error is not
 reported as "no restart converged".
 
-Everything is deterministic given (seed, config): restart k draws its
-starting point from ``default_rng(seed ^ k)``, and the multistart
-reduction breaks objective ties by the lowest restart index, so results
-do not depend on evaluation order.
+Everything is deterministic given (seed, config, basis): restart k draws
+its starting point x0 ~ N(0, I_n) from ``default_rng(seed ^ k)``, and the
+multistart reduction breaks objective ties by the lowest restart index, so
+results do not depend on evaluation order.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -43,7 +51,7 @@ class InfeasibleStartError(ValueError):
 @dataclass(frozen=True)
 class BfgsConfig:
     max_iters: int = 500
-    grad_tol: float = 1e-6        # infinity norm
+    grad_tol: float = 1e-6        # infinity norm of g(x), the gradient in x, not in v
     restarts: int = 64
     seed: int = 0
 
@@ -145,9 +153,16 @@ def _inverse_update(H, s, y, rho):
     H -= rho * (cross + cross.T)
 
 
-def bfgs_minimize(f, g, x0, config=BfgsConfig(), restart_index=0):
-    """Minimize f with dense BFGS starting at x0; deterministic given inputs."""
-    x = np.array(x0, dtype=float)
+def bfgs_minimize(f, g, x0, config=BfgsConfig(), restart_index=0, basis=None):
+    """Minimize f over x0 + range(basis) with dense BFGS; deterministic given inputs.
+
+    ``basis`` is an (n, r) matrix with orthonormal columns, None for the
+    identity.  The returned x is the point at which the returned objective
+    was evaluated, bit for bit.
+    """
+    x0 = np.array(x0, dtype=float)
+    U = np.eye(len(x0)) if basis is None else np.asarray(basis, dtype=float)
+    x = x0
     fx = float(f(x))
     if not np.isfinite(fx):
         raise InfeasibleStartError("objective is not finite at the starting point")
@@ -156,38 +171,46 @@ def bfgs_minimize(f, g, x0, config=BfgsConfig(), restart_index=0):
     if gnorm <= config.grad_tol:
         return OptimizationResult(x, fx, restart_index, 0, True, gnorm)
 
-    n = len(x)
-    eye = np.eye(n)
+    v = np.zeros(U.shape[1])
+    gv = U.T @ gx
+    eye = np.eye(len(v))
     H = eye.copy()
     iterations = 0
     converged = False
     first_update = True
     for _ in range(config.max_iters):
-        p = -(H @ gx)
-        dphi0 = float(p @ gx)
+        p = -(H @ gv)
+        dphi0 = float(p @ gv)
         if dphi0 >= 0.0:   # H lost positive definiteness; restart from steepest descent
             H = eye.copy()
-            p = -gx
-            dphi0 = float(p @ gx)
+            p = -gv
+            dphi0 = float(p @ gv)
             if dphi0 == 0.0:
                 break
+        trials = {}   # step -> trial point, so f and g at one step see the same bits
+
+        def point(a):
+            if a not in trials:
+                trials[a] = x0 + U @ (v + a * p)
+            return trials[a]
 
         def feval(a):
-            return float(f(x + a * p))
+            return float(f(point(a)))
 
         def geval(a):
-            ga = np.asarray(g(x + a * p), dtype=float)
-            return ga, float(ga @ p)
+            ga = np.asarray(g(point(a)), dtype=float)
+            gva = U.T @ ga
+            return (ga, gva), float(gva @ p)
 
         ls = _strong_wolfe(feval, geval, fx, dphi0, WOLFE_C1, WOLFE_C2)
         if ls is None:
             break
-        a, f_new, g_new = ls
+        a, fx, (gx, gv_new) = ls
         s = a * p
-        yk = g_new - gx
-        x = x + s
-        fx = f_new
-        gx = g_new
+        yk = gv_new - gv
+        v = v + s
+        x = trials[a]
+        gv = gv_new
         iterations += 1
         sy = float(s @ yk)
         if sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(yk)):
@@ -199,27 +222,29 @@ def bfgs_minimize(f, g, x0, config=BfgsConfig(), restart_index=0):
         if gnorm <= config.grad_tol:
             converged = True
             break
-    # fx is f at the last accepted trial point x + a*p, which is x + s bitwise
     return OptimizationResult(x, fx, restart_index, iterations, converged, gnorm)
 
 
-def _one_restart(f, g, dim, config, k):
+def _one_restart(f, g, dim, config, k, basis):
     rng = np.random.default_rng(config.seed ^ k)
     x0 = rng.standard_normal(dim)
     try:
-        return bfgs_minimize(f, g, x0, config, restart_index=k)
+        return bfgs_minimize(f, g, x0, config, restart_index=k, basis=basis)
     except InfeasibleStartError:   # any other error is a bug or a bad config: let it out
         return None
 
 
-def multistart(f, g, dim, config=BfgsConfig(), threads=1):
-    """Best of ``config.restarts`` independent BFGS runs from seeded normal starts."""
+def multistart(f, g, dim, config=BfgsConfig(), threads=1, basis=None):
+    """Best of ``config.restarts`` independent BFGS runs from seeded normal starts.
+
+    Every restart searches its own x0 + range(basis); see ``bfgs_minimize``.
+    """
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda k: _one_restart(f, g, dim, config, k),
+            results = list(pool.map(lambda k: _one_restart(f, g, dim, config, k, basis),
                                     range(config.restarts)))
     else:
-        results = [_one_restart(f, g, dim, config, k) for k in range(config.restarts)]
+        results = [_one_restart(f, g, dim, config, k, basis) for k in range(config.restarts)]
     best = None
     for res in results:
         if res is None or not np.isfinite(res.objective):

@@ -7,9 +7,11 @@ import pytest
 
 from deepkern.cli import _build_cv_plan, _build_opt_config, main
 from deepkern.deep_model import TwoLayerModel, load_model, predict_two_layer, save_model
-from deepkern.experiments import CvPlan, SamplingPlan, sample_dataset, write_dataset_csv
+from deepkern.experiments import CvPlan, SamplingPlan, sample_dataset
 from deepkern.kernels import DiagScaledKernel, GaussKernel, PolyKernel
 from deepkern.optimize import BfgsConfig
+
+from dataset_files import write_dataset_csv
 
 INTERP_CONFIG = {
     "mode": "interpolate",

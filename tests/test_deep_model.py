@@ -27,6 +27,7 @@ from deepkern.deep_model import (
     penalty_coth,
     predict_two_layer,
     q_matrix,
+    range_basis,
     save_model,
 )
 from deepkern.experiments import inner_transform_dump
@@ -362,6 +363,75 @@ class TestGradients:
         np.testing.assert_allclose(diff, 2.0 * 1.5 * B @ c, rtol=1e-9)
 
 
+def _range_inner_kernels(D):
+    """Hypothesis strategy: a poly, Gaussian or mixture diagonal inner kernel, R^2 -> R^D."""
+    poly = st.builds(PolyKernel, degree=st.integers(1, 3), dim=st.just(2))
+    gauss = st.builds(GaussKernel, sigma=st.sampled_from([0.1, 0.8, 3.0, 10.0]), dim=st.just(2))
+    weights = st.lists(st.floats(0.1, 3.0), min_size=D, max_size=D)
+    return st.one_of(
+        st.builds(DiagScaledKernel, scalar=poly, weights=weights),
+        st.builds(DiagScaledKernel, scalar=gauss, weights=weights),
+        st.builds(DiagMixtureKernel,
+                  components=st.lists(st.one_of(poly, gauss), min_size=D, max_size=D)),
+    )
+
+
+class TestRangeBasis:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_objective_sees_only_the_range(self, data):
+        """U is orthonormal, g lies in range(U), and f ignores moves orthogonal to U."""
+        D = data.draw(st.integers(1, 4), label="D")
+        n = data.draw(st.integers(1, 8), label="N")
+        inner = data.draw(_range_inner_kernels(D), label="inner")
+        outer = data.draw(_outer_kernels(D, sigmas=(0.3, 1.5)), label="outer")
+        lam, mu, gamma = data.draw(st.sampled_from(
+            [(0.0, 0.0, 0.0), (0.0, 0.0, 0.5), (0.3, 0.1, 0.0)]), label="lam, mu, gamma")
+        if not lam and outer.family == "poly":
+            # Q has rank at most the dimension of the poly feature space
+            n = min(n, math.comb(D + outer.degree, D))
+        n_extra = data.draw(st.integers(0, 4), label="extra centers")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+        X = rng.uniform(-1, 1, (n, 2))
+        centers = np.vstack([X, rng.uniform(-1, 1, (n_extra, 2))]) if n_extra else None
+        prob = TwoLayerProblem(X, rng.standard_normal(n), inner, outer, centers=centers)
+        U = range_basis(prob)
+        r = U.shape[1]
+        np.testing.assert_allclose(U.T @ U, np.eye(r), rtol=0, atol=1e-12)
+
+        c = rng.standard_normal(prob.n_coeffs)
+        # as in the gradient test: rounding in f and g grows with cond(Q), and
+        # mapped points off the Matern kink and the penalty's pole
+        assume(np.linalg.cond(q_matrix(c, prob)) < 1e5)
+        Z = prob.images(c)
+        gaps = np.abs(Z[:, None, :] - Z[None, :, :])[np.triu_indices(n, k=1)]
+        assume(n == 1 or np.min(gaps) > 1e-3)
+        f, g = objective_pair(prob, lam, mu, gamma)
+        val = f(c)
+        assume(val != SENTINEL)
+        grad = g(c)
+        # what the basis drops is below RANGE_CUTOFF times a block's largest
+        # eigenvalue, not zero: over 14,000 random draws the worst was 9e-10 |g|
+        # here and 1.4e-9 |f| below, both with Gaussian sigma = 10 blocks
+        assert np.linalg.norm(grad - U @ (U.T @ grad)) <= 1e-7 * np.linalg.norm(grad)
+        if r < prob.n_coeffs:
+            # an orthonormal basis of the complement, and a move there as long as c
+            W = np.linalg.svd(np.eye(prob.n_coeffs) - U @ U.T)[0][:, :prob.n_coeffs - r]
+            step = W @ rng.standard_normal(prob.n_coeffs - r)
+            step *= np.linalg.norm(c) / np.linalg.norm(step)
+            assert f(c + step) == pytest.approx(val, rel=1e-7)
+
+    def test_ranks_of_the_paper_inner_kernels(self):
+        """Poly-1 outputs are affine (rank 3 each); a Gaussian block at N = 12 is full rank."""
+        rng = np.random.default_rng(5)
+        X = rng.uniform(-1, 1, (12, 2))
+        poly = TwoLayerProblem(X, np.zeros(12), POLY1, GAUSS_OUT)
+        assert range_basis(poly).shape == (24, 6)
+        gauss = TwoLayerProblem(X, np.zeros(12), DiagScaledKernel(GaussKernel(0.8, 2), (1.0, 1.0)),
+                                GAUSS_OUT)
+        assert range_basis(gauss).shape == (24, 24)
+
+
 class TestCoercivity:
     def test_regression_objective_floor(self):
         # a strictly PD inner kernel gives a genuinely positive floor
@@ -477,6 +547,26 @@ class TestFitTwoLayer:
         assert m1.alpha.tobytes() == m2.alpha.tobytes()
         assert np.float64(m1.objective_value).tobytes() == np.float64(m2.objective_value).tobytes()
         assert (r1.restart_index, r1.iterations) == (r2.restart_index, r2.iterations)
+
+    def test_range_space_fit_returns_its_evaluated_point(self):
+        """A fit on a rank-deficient problem reports f at the c it returns, bit for bit."""
+        rng = np.random.default_rng(65)
+        X = rng.uniform(-1, 1, (12, 2))
+        y = rng.standard_normal(12)
+        inner = DiagMixtureKernel((GaussKernel(1.0, 2), PolyKernel(1, 2), PolyKernel(2, 2)))
+        outer = TensorMaternKernel(1, 3)
+        config = BfgsConfig(restarts=2, max_iters=30, seed=65)
+        model, result = fit_two_layer(X, y, inner, outer, lam=1e-3, mu=1e-3, config=config)
+        prob = TwoLayerProblem(X, y, inner, outer)
+        U = range_basis(prob)
+        assert U.shape[1] < prob.n_coeffs and result.iterations > 0
+        f, _ = objective_pair(prob, 1e-3, 1e-3, 0.0)
+        assert result.objective == f(result.x)
+        assert objective_reg(model.c.ravel(), prob, 1e-3, 1e-3) == result.objective
+        # the returned c is the restart's start plus a range move
+        x0 = np.random.default_rng(config.seed ^ result.restart_index).standard_normal(prob.n_coeffs)
+        move = result.x - x0
+        assert np.linalg.norm(move - U @ (U.T @ move)) <= 1e-12 * np.linalg.norm(move)
 
     @pytest.mark.parametrize("lam, mu", [(1.0, 0.0), (0.0, 1.0), (-1.0, 1.0), (1.0, float("nan"))])
     def test_bad_regularization_is_a_config_error(self, lam, mu):

@@ -21,12 +21,13 @@ from deepkern.experiments import (
     run_comparison,
     sample_dataset,
     stream_rng,
-    write_dataset_csv,
     write_error_grid_csv,
 )
 from deepkern.kernels import DiagScaledKernel, GaussKernel, PolyKernel
 from deepkern.optimize import BfgsConfig
 from deepkern.single_layer import fit_single, predict_single
+
+from dataset_files import write_dataset_csv
 
 POLY1 = DiagScaledKernel(PolyKernel(1, 2), weights=(1.0, 1.0))
 

@@ -142,6 +142,61 @@ class TestBfgs:
         assert abs(float(ga @ p)) <= -c2 * dphi0       # curvature
 
 
+class TestRangeBasis:
+    @staticmethod
+    def _rank_deficient_quadratic(n=8, k=3, seed=0):
+        """f(x) = |M^T (x - b)|^2 / 2: Hessian M M^T of rank k, and g lies in range(M)."""
+        rng = np.random.default_rng(seed)
+        M = rng.standard_normal((n, k))
+        b = rng.standard_normal(n)
+
+        def f(x):
+            r = M.T @ (x - b)
+            return 0.5 * float(r @ r)
+
+        def g(x):
+            return M @ (M.T @ (x - b))
+
+        U = np.linalg.qr(M)[0]                 # orthonormal basis of range(M)
+        return f, g, U, b
+
+    def test_range_basis_reaches_the_identity_basis_minimizer(self):
+        f, g, U, b = self._rank_deficient_quadratic()
+        x0 = np.random.default_rng(1).standard_normal(len(b))
+        cfg = BfgsConfig(max_iters=200, grad_tol=1e-12)
+        full = bfgs_minimize(f, g, x0, cfg)
+        ranged = bfgs_minimize(f, g, x0, cfg, basis=U)
+        # BFGS never leaves x0 + range(M), so both reach x0 + P (b - x0)
+        expected = x0 + U @ (U.T @ (b - x0))
+        assert full.converged and ranged.converged
+        np.testing.assert_allclose(full.x, expected, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(ranged.x, full.x, rtol=0, atol=1e-10)
+        assert ranged.objective == f(ranged.x)
+
+    def test_iterates_stay_on_the_start_translate_of_the_range(self):
+        f, g, U, b = self._rank_deficient_quadratic(n=10, k=4, seed=2)
+        x0 = np.random.default_rng(3).standard_normal(len(b))
+        res = bfgs_minimize(f, g, x0, BfgsConfig(max_iters=3), basis=U)
+        assert res.iterations == 3
+        off_range = (res.x - x0) - U @ (U.T @ (res.x - x0))
+        assert np.max(np.abs(off_range)) <= 1e-14 * np.max(np.abs(res.x))
+
+    def test_zero_column_basis_returns_the_start(self):
+        x0 = np.array([-1.2, 1.0])
+        res = bfgs_minimize(rosenbrock, rosenbrock_grad, x0, basis=np.zeros((2, 0)))
+        assert res.iterations == 0 and not res.converged
+        np.testing.assert_array_equal(res.x, x0)
+        assert res.objective == rosenbrock(x0)
+
+    def test_multistart_passes_the_basis_to_every_restart(self):
+        f, g, U, b = self._rank_deficient_quadratic()
+        cfg = BfgsConfig(restarts=4, seed=9, max_iters=200, grad_tol=1e-12)
+        best = multistart(f, g, len(b), cfg, basis=U)
+        x0 = np.random.default_rng(cfg.seed ^ best.restart_index).standard_normal(len(b))
+        direct = bfgs_minimize(f, g, x0, cfg, restart_index=best.restart_index, basis=U)
+        np.testing.assert_array_equal(best.x, direct.x)
+
+
 class TestInverseUpdate:
     @staticmethod
     def _random_pair(n=50, seed=0):
