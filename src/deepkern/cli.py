@@ -161,16 +161,14 @@ def _load_inputs(args):
 
 def _cmd_fit(args):
     dataset, outer, inner, _, config, plan, (lam, mu, gamma) = _load_inputs(args)
-    threads = max(1, args.threads)
     if lam is None:
-        cv = cross_validate(dataset, inner, outer, plan, config, threads=threads)
+        cv = cross_validate(dataset, inner, outer, plan, config)
         lam, mu = cv.best_lambda, cv.best_mu
         print(f"cv.best_lambda={lam!r}")
         print(f"cv.best_mu={mu!r}")
 
     model, result = fit_two_layer(dataset.X, dataset.y, inner, outer,
-                                  lam=lam, mu=mu, gamma=gamma,
-                                  config=config, threads=threads)
+                                  lam=lam, mu=mu, gamma=gamma, config=config)
     save_model(model, args.out)
     print(f"objective={result.objective!r}")
     print(f"restart_index={result.restart_index}")
@@ -214,7 +212,6 @@ def _demo_cv_grid(grid, scale):
 
 
 def _cmd_demo(args):
-    threads = max(1, args.threads)
     out_dir = args.out_dir
     os.makedirs(out_dir, exist_ok=True)
     tf, plan, config, cv_config = _demo_setup(args.figure, args.scale, args.seed)
@@ -230,7 +227,7 @@ def _cmd_demo(args):
             outer, mode = GaussKernel(sigma=0.1, dim=2), "regression"
             cv_plan = CvPlan(lambda_grid=grid, mu_grid=grid)
         report = run_comparison(tf, outer, inner, plan, cv_plan=cv_plan, mode=mode,
-                                config=config, cv_config=cv_config, threads=threads)
+                                config=config, cv_config=cv_config)
         write_report(os.path.join(out_dir, "report.txt"), report)
         write_error_grid_csv(os.path.join(out_dir, "two_layer_error.csv"), report.two_layer.error)
         write_error_grid_csv(os.path.join(out_dir, "single_layer_error.csv"), report.single_layer.error)
@@ -248,10 +245,10 @@ def _cmd_demo(args):
         cv_plan = CvPlan(lambda_grid=grid, mu_grid=grid)
         rep1 = run_comparison(tf, PolyKernel(degree=1, dim=5), mixture, plan,
                               cv_plan=cv_plan, mode="regression",
-                              config=config, cv_config=cv_config, threads=threads)
+                              config=config, cv_config=cv_config)
         rep2 = run_comparison(tf, TensorMaternKernel(order=1, dim=5), mixture, plan,
                               cv_plan=cv_plan, mode="regression",
-                              config=config, cv_config=cv_config, threads=threads)
+                              config=config, cv_config=cv_config)
         lines = ["figure=" + args.figure, "scale=" + args.scale]
         lines += ["setting1." + ln for ln in rep1.lines()]
         lines += ["setting2." + ln for ln in rep2.lines()]
@@ -271,7 +268,7 @@ def _cmd_cv(args):
     dataset, outer, inner, _, config, plan, _ = _load_inputs(args)
     if plan is None:
         raise ValueError("config has no 'cv' block")
-    cv = cross_validate(dataset, inner, outer, plan, config, threads=max(1, args.threads))
+    cv = cross_validate(dataset, inner, outer, plan, config)
     print(f"best_lambda={cv.best_lambda!r}")
     print(f"best_mu={cv.best_mu!r}")
     means = cv.mean_scores
@@ -326,8 +323,8 @@ def _cmd_inner_map(args):
 
 def build_parser():
     parser = argparse.ArgumentParser(prog="deepkern")
-    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="worker threads for the restarts of each fit")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="accepted and ignored: the restarts of a fit run one after another")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fit", help="fit a two-layer model from a CSV dataset")

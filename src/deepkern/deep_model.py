@@ -60,7 +60,6 @@ or non-finite values.
 
 import json
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -244,9 +243,9 @@ def objective_pair(prob, lam, mu, gamma):
     for the gradient only where sufficient decrease holds, and then at the
     point it just evaluated.  So ``f`` runs stage one and keeps its state
     in a one-slot cache, and ``g`` runs stage two on that state the first
-    time the gradient is asked for at that point.  The slot is per thread:
-    each restart runs entirely in one thread of the multistart pool, so
-    concurrent restarts never share or evict each other's entry.
+    time the gradient is asked for at that point.  One slot serves every
+    restart because restarts run one after another in one thread; the
+    pair is not safe to call from two threads at once.
 
     lam = mu = 0 selects Int; anything else must be a Reg pair with
     lam, mu > 0 and gamma = 0, checked here before any restart runs.
@@ -255,24 +254,24 @@ def objective_pair(prob, lam, mu, gamma):
         check_regularization(lam, mu)
         if gamma != 0.0:
             raise ValueError("the separation penalty is an interpolation-mode device")
-    slot = threading.local()
+    slot = {"key": None}
 
     def at(c):
         key = c.tobytes()
-        if getattr(slot, "key", None) != key:
-            slot.val, slot.state = _objective_value(c, prob, lam, mu, gamma)
-            slot.grad = None
-            slot.key = key
+        if slot["key"] != key:
+            slot["val"], slot["state"] = _objective_value(c, prob, lam, mu, gamma)
+            slot["grad"] = None
+            slot["key"] = key
         return slot
 
     def f(c):
-        return at(c).val
+        return at(c)["val"]
 
     def g(c):
         entry = at(c)
-        if entry.grad is None:
-            entry.grad = _objective_grad(c, prob, entry.state)
-        return entry.grad
+        if entry["grad"] is None:
+            entry["grad"] = _objective_grad(c, prob, entry["state"])
+        return entry["grad"]
 
     return f, g
 
@@ -312,15 +311,15 @@ def fit_two_layer(X, y, inner, outer, lam=0.0, mu=0.0, gamma=0.0,
     """Fit a two-layer model by multistart BFGS on (Int) or (Reg).
 
     lam = mu = 0 selects interpolation; otherwise both must be positive.
-    BFGS runs on the range part of c (see ``range_basis``).
+    BFGS runs on the range part of c (see ``range_basis``).  ``threads`` is
+    accepted and unused: restarts run in the calling thread.
     Returns (model, optimization_result).
     """
     from .optimize import BfgsConfig, multistart
 
     prob = TwoLayerProblem(X, y, inner, outer)
     f, g = objective_pair(prob, lam, mu, gamma)
-    result = multistart(f, g, prob.n_coeffs, config or BfgsConfig(), threads=threads,
-                        basis=range_basis(prob))
+    result = multistart(f, g, prob.n_coeffs, config or BfgsConfig(), basis=range_basis(prob))
     # stage one's outer coefficients at the returned c, where the value is finite
     _, (_, alpha, *_) = _objective_value(result.x, prob, lam, mu, gamma)
     model = TwoLayerModel(

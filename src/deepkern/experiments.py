@@ -167,7 +167,8 @@ def cross_validate(dataset, inner, outer, cv_plan, config, threads=1):
     """Grid search over (lambda, mu) with k-fold validation.
 
     Scores are held-out mean squared prediction errors.  Ties go to the
-    larger (lambda, mu) pair, i.e. the stronger regularization.
+    larger (lambda, mu) pair, i.e. the stronger regularization.  ``threads``
+    is accepted and unused: every fit runs in the calling thread.
     """
     blocks = fold_blocks(len(dataset.y), cv_plan.folds, stream_rng(cv_plan.seed, "folds"))
     n_lam, n_mu = len(cv_plan.lambda_grid), len(cv_plan.mu_grid)
@@ -179,7 +180,7 @@ def cross_validate(dataset, inner, outer, cv_plan, config, threads=1):
                 mask[held_out] = False
                 model, _ = fit_two_layer(
                     dataset.X[mask], dataset.y[mask], inner, outer,
-                    lam=lam, mu=mu, config=config, threads=threads,
+                    lam=lam, mu=mu, config=config,
                 )
                 preds = predict_two_layer(model, dataset.X[held_out])
                 scores[il, im, k] = float(np.mean((preds - dataset.y[held_out]) ** 2))
@@ -282,7 +283,7 @@ def _baseline_kernel(outer, dim):
 
 
 def run_comparison(tf, outer, inner, plan, cv_plan=None, mode="interpolation",
-                   config=None, cv_config=None, grid=None, threads=1):
+                   config=None, cv_config=None, grid=None):
     """Fit the two-layer model and the single-layer baseline, report grid errors.
 
     Interpolation mode fits both arms exactly; regression mode selects
@@ -300,7 +301,7 @@ def run_comparison(tf, outer, inner, plan, cv_plan=None, mode="interpolation",
 
     if mode == "interpolation":
         model, result = fit_two_layer(dataset.X, dataset.y, inner, outer,
-                                      config=fit_config, threads=threads)
+                                      config=fit_config)
         two_params = {"objective": result.objective, "restart_index": result.restart_index}
         single = fit_single(baseline, dataset.X, dataset.y, lam=0.0)
         single_params = {"lambda": 0.0}
@@ -310,10 +311,10 @@ def run_comparison(tf, outer, inner, plan, cv_plan=None, mode="interpolation",
         cell_config = dataclasses.replace(cv_config or fit_config,
                                           seed=stream_seed(plan.seed, "init"))
         cv_plan = dataclasses.replace(cv_plan, seed=plan.seed)
-        cv = cross_validate(dataset, inner, outer, cv_plan, cell_config, threads=threads)
+        cv = cross_validate(dataset, inner, outer, cv_plan, cell_config)
         model, result = fit_two_layer(dataset.X, dataset.y, inner, outer,
                                       lam=cv.best_lambda, mu=cv.best_mu,
-                                      config=fit_config, threads=threads)
+                                      config=fit_config)
         two_params = {
             "lambda": cv.best_lambda, "mu": cv.best_mu,
             "objective": result.objective, "restart_index": result.restart_index,

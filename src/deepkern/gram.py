@@ -21,7 +21,7 @@ shape of the call.
 """
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 
 class SingularMatrixError(RuntimeError):
@@ -65,16 +65,20 @@ def by_point_blocks(fn, points):
 def spd_factor(M):
     """Cholesky factor of M + jitter*I, escalating jitter until it succeeds.
 
-    Returns ``(factor, used_jitter)`` where ``factor`` feeds cho_solve.
+    Returns ``(factor, used_jitter)``: dpotrf's lower factor, whose strict
+    upper triangle keeps input entries that dpotrs never reads.  A
+    non-finite entry in M raises ``ValueError``.
     """
     M = np.asarray(M, dtype=float)
+    if not np.all(np.isfinite(M)):
+        raise ValueError("matrix contains non-finite entries")
     for jitter in JITTERS:
-        try:
-            f = cho_factor(M + jitter * np.eye(M.shape[0]) if jitter else M, lower=True)
-            return f, jitter
-        except LinAlgError:
-            continue
-    cond = float(np.linalg.cond(M)) if np.all(np.isfinite(M)) else np.inf
+        # info > 0: not positive definite; info < 0 (a bad argument) cannot
+        # occur, as the wrapper checks shapes and types before LAPACK runs
+        factor, info = dpotrf(M + jitter * np.eye(M.shape[0]) if jitter else M, lower=1, clean=0)
+        if info == 0:
+            return factor, jitter
+    cond = float(np.linalg.cond(M))
     raise SingularMatrixError(
         f"matrix not positive definite up to jitter {JITTERS[-1]:g} "
         f"(condition estimate {cond:.3e})",
@@ -83,14 +87,19 @@ def spd_factor(M):
 
 
 def spd_solve(M, b):
-    """Solve (M + jitter*I) x = b, reporting the jitter actually used."""
+    """Solve (M + jitter*I) x = b, reporting the jitter actually used.
+
+    A non-finite entry in M or b raises ``ValueError``.
+    """
     M = np.asarray(M, dtype=float)
     b = np.asarray(b, dtype=float)
+    if not np.all(np.isfinite(b)):
+        raise ValueError("right-hand side contains non-finite entries")
     factor, jitter = spd_factor(M)
     Mj = M + jitter * np.eye(M.shape[0]) if jitter else M
-    x = cho_solve(factor, b)
+    x = dpotrs(factor, b, lower=1)[0]
     # one refinement pass; negligible cost next to the factorization
-    x = x + cho_solve(factor, b - Mj @ x)
+    x = x + dpotrs(factor, b - Mj @ x, lower=1)[0]
     return x, jitter
 
 

@@ -26,12 +26,11 @@ exception from the objective propagates, so a configuration error is not
 reported as "no restart converged".
 
 Everything is deterministic given (seed, config, basis): restart k draws
-its starting point x0 ~ N(0, I_n) from ``default_rng(seed ^ k)``, and the
-multistart reduction breaks objective ties by the lowest restart index, so
-results do not depend on evaluation order.
+its starting point x0 ~ N(0, I_n) from ``default_rng(seed ^ k)``, and
+``multistart`` runs the restarts in order and breaks objective ties by the
+lowest restart index.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,31 +224,20 @@ def bfgs_minimize(f, g, x0, config=BfgsConfig(), restart_index=0, basis=None):
     return OptimizationResult(x, fx, restart_index, iterations, converged, gnorm)
 
 
-def _one_restart(f, g, dim, config, k, basis):
-    rng = np.random.default_rng(config.seed ^ k)
-    x0 = rng.standard_normal(dim)
-    try:
-        return bfgs_minimize(f, g, x0, config, restart_index=k, basis=basis)
-    except InfeasibleStartError:   # any other error is a bug or a bad config: let it out
-        return None
-
-
-def multistart(f, g, dim, config=BfgsConfig(), threads=1, basis=None):
+def multistart(f, g, dim, config=BfgsConfig(), basis=None):
     """Best of ``config.restarts`` independent BFGS runs from seeded normal starts.
 
-    Every restart searches its own x0 + range(basis); see ``bfgs_minimize``.
+    Restarts run one after another, in restart order, in the calling thread;
+    every restart searches its own x0 + range(basis), see ``bfgs_minimize``.
     """
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda k: _one_restart(f, g, dim, config, k, basis),
-                                    range(config.restarts)))
-    else:
-        results = [_one_restart(f, g, dim, config, k, basis) for k in range(config.restarts)]
     best = None
-    for res in results:
-        if res is None or not np.isfinite(res.objective):
+    for k in range(config.restarts):
+        x0 = np.random.default_rng(config.seed ^ k).standard_normal(dim)
+        try:
+            res = bfgs_minimize(f, g, x0, config, restart_index=k, basis=basis)
+        except InfeasibleStartError:   # any other error is a bug or a bad config: let it out
             continue
-        if best is None or res.objective < best.objective:
+        if np.isfinite(res.objective) and (best is None or res.objective < best.objective):
             best = res
     if best is None:
         raise OptimizationError("no restart produced a finite objective")

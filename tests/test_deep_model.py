@@ -477,41 +477,38 @@ class TestOuterFit:
 
 
 class TestFitTwoLayer:
-    def test_objective_cache_is_per_thread(self):
-        import sys
+    def test_threads_argument_runs_every_evaluation_in_the_calling_thread(self, monkeypatch):
+        """fit_two_layer and cross_validate accept threads=2, evaluate the objective
+        only in the caller's thread, and give threads=1's results bit for bit."""
         import threading
 
-        prob = small_problem(n=3, seed=64)
-        f, g = objective_pair(prob, 0.0, 0.0, 0.0)
-        rng = np.random.default_rng(64)
-        points = [[rng.standard_normal(prob.n_coeffs) for _ in range(3)] for _ in range(4)]
-        want = {c.tobytes(): _uncached(c, prob, 0.0, 0.0, 0.0)
-                for pts in points for c in pts}
-        wrong = []
+        import deepkern.deep_model as dm
+        from deepkern.experiments import CvPlan, Dataset, cross_validate
 
-        def work(k):
-            for i in range(300):
-                c = points[k][i % 3].copy()
-                if i % 2:
-                    val, grad = f(c), g(c)
-                else:
-                    grad, val = g(c), f(c)
-                w_val, w_grad, _ = want[c.tobytes()]
-                if val != w_val or grad.tobytes() != w_grad.tobytes():
-                    wrong.append((k, i))
+        seen = set()
+        objective_value = dm._objective_value
 
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(old)
-        assert not any(t.is_alive() for t in threads)
-        assert wrong == []
+        def recording(*args):
+            seen.add(threading.get_ident())
+            return objective_value(*args)
+
+        monkeypatch.setattr(dm, "_objective_value", recording)
+        rng = np.random.default_rng(66)
+        X = rng.uniform(-1, 1, (8, 2))
+        y = rng.standard_normal(8)
+        config = BfgsConfig(restarts=4, max_iters=15, seed=66)
+        fits = [fit_two_layer(X, y, POLY1, GAUSS_OUT, lam=1e-2, mu=1e-2, config=config, threads=t)
+                for t in (1, 2)]
+        plan = CvPlan(folds=2, lambda_grid=(1e-2, 1.0), mu_grid=(1e-2,), seed=66)
+        cvs = [cross_validate(Dataset(X=X, y=y), POLY1, GAUSS_OUT, plan, config, threads=t)
+               for t in (1, 2)]
+        assert seen == {threading.get_ident()}
+        (m1, r1), (m2, r2) = fits
+        assert m1.c.tobytes() == m2.c.tobytes()
+        assert m1.alpha.tobytes() == m2.alpha.tobytes()
+        assert (r1.restart_index, r1.iterations) == (r2.restart_index, r2.iterations)
+        assert cvs[0].fold_scores.tobytes() == cvs[1].fold_scores.tobytes()
+        assert (cvs[0].best_lambda, cvs[0].best_mu) == (cvs[1].best_lambda, cvs[1].best_mu)
 
     @settings(max_examples=40, deadline=None)
     @given(

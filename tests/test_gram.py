@@ -113,16 +113,27 @@ class TestSpdSolve:
 
     def test_indefinite_tries_each_jitter_once(self, monkeypatch):
         attempts = []
-        cho_factor = gram_module.cho_factor
+        dpotrf = gram_module.dpotrf
 
-        def counting_cho_factor(*args, **kwargs):
+        def counting_dpotrf(*args, **kwargs):
             attempts.append(args[0])
-            return cho_factor(*args, **kwargs)
+            return dpotrf(*args, **kwargs)
 
-        monkeypatch.setattr(gram_module, "cho_factor", counting_cho_factor)
+        monkeypatch.setattr(gram_module, "dpotrf", counting_dpotrf)
         with pytest.raises(SingularMatrixError, match="1e-06"):
             spd_solve(np.array([[1.0, 0.0], [0.0, -1.0]]), np.array([1.0, 1.0]))
         assert len(attempts) == len(JITTERS) == 8
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["matrix", "rhs"])
+    def test_nonfinite_input_raises_value_error(self, bad, where):
+        M, b = np.eye(3), np.ones(3)
+        if where == "matrix":
+            M[0, 1] = M[1, 0] = bad
+        else:
+            b[2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            spd_solve(M, b)
 
     def test_jitter_ladder_rungs(self):
         assert JITTERS[0] == 0.0

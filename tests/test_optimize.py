@@ -261,13 +261,6 @@ class TestMultistart:
         np.testing.assert_array_equal(a.x, b.x)
         assert (a.objective, a.restart_index, a.iterations) == (b.objective, b.restart_index, b.iterations)
 
-    def test_threaded_matches_sequential(self):
-        cfg = BfgsConfig(restarts=8, seed=5)
-        seq = multistart(rosenbrock, rosenbrock_grad, 2, cfg, threads=1)
-        par = multistart(rosenbrock, rosenbrock_grad, 2, cfg, threads=4)
-        np.testing.assert_array_equal(seq.x, par.x)
-        assert seq.restart_index == par.restart_index
-
     def test_dominates_every_restart(self):
         cfg = BfgsConfig(restarts=12, seed=7)
 
@@ -283,14 +276,12 @@ class TestMultistart:
             res = bfgs_minimize(f, g, rng.standard_normal(2), cfg, restart_index=k)
             assert best.objective <= res.objective + 1e-15
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_config_error_in_a_restart_propagates(self, threads):
+    def test_config_error_in_a_restart_propagates(self):
         def f(x):
             raise ValueError("bad config")
 
         with pytest.raises(ValueError, match="bad config"):
-            multistart(f, lambda x: np.zeros(1), 1, BfgsConfig(restarts=3, seed=0),
-                       threads=threads)
+            multistart(f, lambda x: np.zeros(1), 1, BfgsConfig(restarts=3, seed=0))
 
     def test_nonfinite_start_is_an_infeasible_start(self):
         with pytest.raises(InfeasibleStartError):
