@@ -2,7 +2,7 @@
 
 The inner function g maps the data domain into the outer kernel's domain
 and is parameterized by an (Nc, D) coefficient matrix c over the kernel
-translates at the inner centers (normally the data points themselves):
+translates at the inner centers: the N data points, then any extra centers:
 
     g(x) = sum_j Kmat(center_j, x) c_j        (Kmat diagonal, D outputs)
 
@@ -14,17 +14,19 @@ alpha = (Q + lam I)^{-1} y the outer coefficients:
 Interpolation (Int, lam = 0):  y^T alpha + N(c)                  [+ coth penalty]
 Regression (Reg, lam, mu > 0): lam alpha^T Q alpha + |y - Q alpha|^2 + mu N(c)
 
-One core evaluates both, in two stages.  ``_objective_value`` forms Q,
-solves for alpha, forms Kblock c and returns the value with the state the
-gradient needs (Q and Kblock c among it); ``_objective_grad`` turns that
-state into the gradient, the only place the outer kernel's derivatives are
-evaluated, as the vector-Jacobian product ``outer.vjp(Z, Q, alpha)`` from
-the Q that stage one already holds.  Only the data term depends on the
-mode; the rest is shared and weighted by (s, w) = (1, 1) for Int and
-(lam, mu) for Reg: the value gets w N(c) = w c^T (Kblock c), and the
-gradient pulls -2 s alpha_p sum_n alpha_n d2K(g_n, g_p) back through dg/dc
-and adds 2 w Kblock c.  Gradients are exact, and one objective+gradient
-evaluation costs O(N^3 D + (N D)^2) with no (N, N, D) temporary.
+One core evaluates both, in two stages.  ``_objective_value`` forms Kblock c,
+takes its data rows as the images Z, forms Q, solves for alpha and returns
+the value with the state the gradient needs (Q and Kblock c among it);
+``_objective_grad`` turns that state into the gradient, the only place the
+outer kernel's derivatives are evaluated, as the vector-Jacobian product
+``outer.vjp(Z, Q, alpha)`` from the Q that stage one already holds.  Only
+the data term depends on the mode; the rest is shared and weighted by
+(s, w) = (1, 1) for Int and (lam, mu) for Reg: the value gets
+w N(c) = w c^T (Kblock c), and the gradient pulls
+-2 s alpha_p sum_n alpha_n d2K(g_n, g_p) back through dg/dc and adds
+2 w Kblock c.  Gradients are exact; one objective+gradient evaluation costs
+O(N^3 + N^2 D) with no (N, N, D) temporary, and a BFGS iteration adds
+O(r^2 + N D r) (see below and ``optimize``).
 
 ``objective_pair(prob, lam, mu, gamma)`` is the one way to evaluate the
 objective: the (f, g) pair that a fit minimizes and that ``deepkern
@@ -35,16 +37,15 @@ Int, anything else needs lam > 0, mu > 0 and no penalty.
 ``objective_reg`` is stage one's Reg value alone, for checking a reported
 objective.  A fitted model's alpha is stage one's alpha at the returned c.
 
-The objective sees c only through B_cd[l]^T c_l (the images) and
-c_l^T B_cc[l] c_l (the norm), per output l.  Both the data-term and the
-norm gradients of output l lie in range(B_cc[l]) (with extra centers too:
-the joint Gram matrix of centers and data is PSD, so the columns of B_cd[l]
-lie in that range).  So BFGS never leaves its start's translate of these
-ranges, and a fit runs it on the range part only: ``range_basis`` stacks
-the eigenvectors of each B_cc[l] with eigenvalues above ``RANGE_CUTOFF``
-times that block's largest into an orthonormal (N D, r) basis, once per
-fit, and ``optimize`` iterates on r coordinates instead of N D.  The
-objective and the model keep the full c.
+The objective sees c only through B[l] c_l, per output l, with B[l] the
+inner Gram block over the centers: its data rows are the images and
+c_l^T B[l] c_l is the norm.  Both gradients of output l lie in range(B[l]),
+since the data columns of B[l] are among its columns.  So BFGS never
+leaves its start's translate of these ranges, and a fit runs it on the
+range part only: ``range_basis`` stacks the eigenvectors of each B[l] with
+eigenvalues above ``RANGE_CUTOFF`` times that block's largest into an
+orthonormal (N D, r) basis, once per fit, and ``optimize`` iterates on r
+coordinates instead of N D.  The objective and the model keep the full c.
 
 Every infeasible point has the value SENTINEL = inf, a zero gradient and
 no stage-one state: a non-finite Q, a Q that is singular up to the
@@ -76,13 +77,13 @@ RANGE_CUTOFF = 1e-12  # range_basis keeps eigenvalues above this times the block
 # -----------------------------
 
 class TwoLayerProblem:
-    """Immutable bundle of data, kernels and precomputed inner Gram stacks.
+    """Immutable bundle of data, kernels and the precomputed inner Gram stack.
 
-    ``centers`` defaults to the data points; passing extra centers enlarges
-    the inner search space (used to probe the representer property).
+    The centers are the data points, then ``extra_centers`` if given, which
+    enlarge the inner search space (used to probe the representer property).
     """
 
-    def __init__(self, X, y, inner, outer, centers=None):
+    def __init__(self, X, y, inner, outer, extra_centers=None):
         self.X = np.atleast_2d(np.asarray(X, dtype=float))
         self.y = np.asarray(y, dtype=float)
         if len(self.y) != len(self.X):
@@ -93,11 +94,9 @@ class TwoLayerProblem:
             raise ValueError("outer kernel dimension must equal the inner output dimension")
         self.inner = inner
         self.outer = outer
-        self.centers = self.X if centers is None else np.atleast_2d(np.asarray(centers, dtype=float))
-        # (D, Nc, N) center-to-data and (D, Nc, Nc) center-to-center Gram stacks
-        self.B_cd = inner.diag_cross(self.centers, self.X)
+        self.centers = self.X if extra_centers is None else np.vstack([self.X, extra_centers])
         B = inner.diag_cross(self.centers, self.centers)
-        self.B_cc = 0.5 * (B + np.transpose(B, (0, 2, 1)))
+        self.B = 0.5 * (B + np.transpose(B, (0, 2, 1)))   # (D, Nc, Nc); rows :N are the data
 
     @property
     def n_centers(self):
@@ -116,8 +115,8 @@ class TwoLayerProblem:
         return c.reshape(self.n_centers, self.out_dim)
 
     def images(self, c):
-        """Mapped data points g(x_i), shape (N, D)."""
-        return np.einsum("dji,jd->id", self.B_cd, self.coeff_matrix(c))
+        """Mapped data points g(x_i), shape (N, D): the data rows of Kblock c."""
+        return _block_times(self, self.coeff_matrix(c))[:len(self.X)]
 
     def images_at(self, c, points):
         """g evaluated at arbitrary points, shape (m, D)."""
@@ -139,7 +138,7 @@ def inner_norm_sq(c, prob):
 
 def _block_times(prob, cm):
     """Kblock c as an (Nc, D) array: sum_k Kmat(x_j, x_k) c_k."""
-    return np.einsum("djk,kd->jd", prob.B_cc, cm)
+    return np.einsum("djk,kd->jd", prob.B, cm)
 
 
 def block_gram(inner, X):
@@ -189,12 +188,15 @@ def check_regularization(lam, mu):
 def _objective_value(c, prob, lam, mu, gamma):
     """Stage one: (value, state) of Int (lam = 0) or Reg (lam > 0).
 
-    ``state`` is (Z, alpha, s, w, dPdZ, Q, Bc), everything
-    ``_objective_grad`` needs, or None at an infeasible point, where the
-    value is SENTINEL.  Bc = Kblock c serves both the norm and its gradient.
+    ``state`` is (Z, alpha, s, w, dPdZ, Q, Bc), everything ``_objective_grad``
+    needs, or None at an infeasible point, where the value is SENTINEL.
+    Bc = Kblock c gives the images Z (its data rows), the norm and its gradient.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        Z = prob.images(c)
+    cm = prob.coeff_matrix(c)
+    with np.errstate(over="ignore", invalid="ignore"):   # caught by the isfinite checks below
+        Bc = _block_times(prob, cm)
+        norm = float(np.sum(cm * Bc))
+        Z = Bc[:len(prob.X)]
         Q = gram(prob.outer, Z)
     if not np.all(np.isfinite(Q)):   # overflowed images, e.g. runaway line-search trial
         return SENTINEL, None
@@ -207,10 +209,7 @@ def _objective_value(c, prob, lam, mu, gamma):
         val, s, w = lam * float(alpha @ Qa) + float(np.sum((prob.y - Qa) ** 2)), lam, mu
     else:     # y^T Q^{-1} y, weights (s, w) = (1, 1)
         val, s, w = float(prob.y @ alpha), 1.0, 1.0
-    cm = prob.coeff_matrix(c)
-    with np.errstate(over="ignore", invalid="ignore"):   # caught by the isfinite check below
-        Bc = _block_times(prob, cm)
-        val += w * float(np.sum(cm * Bc))
+    val += w * norm
 
     dPdZ = None
     if gamma > 0.0:
@@ -231,7 +230,7 @@ def _objective_grad(c, prob, state):
     dVdZ = -2.0 * s * alpha[:, None] * prob.outer.vjp(Z, Q, alpha)
     if dPdZ is not None:
         dVdZ = dVdZ + dPdZ
-    grad = np.einsum("djn,nd->jd", prob.B_cd, dVdZ)
+    grad = np.einsum("djn,nd->jd", prob.B[:, :, :len(Z)], dVdZ)
     grad += 2.0 * w * Bc
     return grad.ravel()
 
@@ -290,14 +289,12 @@ def range_basis(prob):
     """Orthonormal (n_coeffs, r) basis of the coefficient directions the objective sees.
 
     Output l owns the coordinates l::D of the flat c; its columns are the
-    eigenvectors of B_cc[l] whose eigenvalues exceed RANGE_CUTOFF times the
+    eigenvectors of B[l] whose eigenvalues exceed RANGE_CUTOFF times the
     largest, so r is the summed numerical rank of the D blocks.
     """
     D = prob.out_dim
-    kept = []
-    for l in range(D):
-        w, V = np.linalg.eigh(prob.B_cc[l])
-        kept.append(V[:, w > RANGE_CUTOFF * w[-1]])
+    w, V = np.linalg.eigh(prob.B)   # one eigendecomposition per output block
+    kept = [V[l][:, w[l] > RANGE_CUTOFF * w[l, -1]] for l in range(D)]
     U = np.zeros((prob.n_coeffs, sum(V.shape[1] for V in kept)))
     col = 0
     for l, V in enumerate(kept):

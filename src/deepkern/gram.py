@@ -35,13 +35,11 @@ class SingularMatrixError(RuntimeError):
 JITTERS = (0.0, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 
 
-def gram(kernel, X, Z=None):
-    """Kernel matrix K(X_i, Z_j); exactly symmetric when Z is omitted."""
+def gram(kernel, X):
+    """Kernel matrix K(X_i, X_j), exactly symmetric."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if Z is None or Z is X:
-        M = kernel.cross(X, X)
-        return 0.5 * (M + M.T)
-    return kernel.cross(X, np.atleast_2d(np.asarray(Z, dtype=float)))
+    M = kernel.cross(X, X)
+    return 0.5 * (M + M.T)
 
 
 # rows per block: the peak memory of a read path grows with it, and smaller

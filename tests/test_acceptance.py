@@ -210,8 +210,8 @@ class TestCriterion4RepresenterConsistency:
             extra = rng.uniform(-1, 1, (4, 2))
             cfg = BfgsConfig(restarts=16, seed=seed)
             objs = {}
-            for label, centers in (("base", None), ("aug", np.vstack([X, extra]))):
-                prob = TwoLayerProblem(X, y, inner, outer, centers=centers)
+            for label, extra_centers in (("base", None), ("aug", extra)):
+                prob = TwoLayerProblem(X, y, inner, outer, extra_centers=extra_centers)
                 f, g = objective_pair(prob, 0.0, 0.0, 0.0)
                 objs[label] = multistart(f, g, prob.n_coeffs, cfg).objective
             rel = (objs["base"] - objs["aug"]) / abs(objs["base"])

@@ -393,8 +393,8 @@ class TestRangeBasis:
         n_extra = data.draw(st.integers(0, 4), label="extra centers")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
         X = rng.uniform(-1, 1, (n, 2))
-        centers = np.vstack([X, rng.uniform(-1, 1, (n_extra, 2))]) if n_extra else None
-        prob = TwoLayerProblem(X, rng.standard_normal(n), inner, outer, centers=centers)
+        extra = rng.uniform(-1, 1, (n_extra, 2)) if n_extra else None
+        prob = TwoLayerProblem(X, rng.standard_normal(n), inner, outer, extra_centers=extra)
         U = range_basis(prob)
         r = U.shape[1]
         np.testing.assert_allclose(U.T @ U, np.eye(r), rtol=0, atol=1e-12)
@@ -430,6 +430,43 @@ class TestRangeBasis:
         gauss = TwoLayerProblem(X, np.zeros(12), DiagScaledKernel(GaussKernel(0.8, 2), (1.0, 1.0)),
                                 GAUSS_OUT)
         assert range_basis(gauss).shape == (24, 24)
+
+
+class TestInnerGramStack:
+    @pytest.mark.parametrize("inner", [POLY1, DiagMixtureKernel((GaussKernel(1.0, 2), PolyKernel(1, 2)))])
+    def test_problem_builds_one_stack(self, inner, monkeypatch):
+        calls = []
+        diag_cross = type(inner).diag_cross
+
+        def counted(self, X, Z):
+            calls.append((len(X), len(Z)))
+            return diag_cross(self, X, Z)
+
+        monkeypatch.setattr(type(inner), "diag_cross", counted)
+        X = np.random.default_rng(3).uniform(-1, 1, (6, 2))
+        prob = TwoLayerProblem(X, np.zeros(6), inner, GAUSS_OUT, extra_centers=X[:2] + 0.5)
+        assert calls == [(8, 8)]
+        assert prob.B.shape == (2, 8, 8)
+        np.testing.assert_array_equal(prob.B, np.transpose(prob.B, (0, 2, 1)))
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_images_match_the_rectangular_formula(self, data):
+        """The data rows of Kblock c are sum_j Kmat(center_j, x_i) c_j, with or without extra centers."""
+        D = data.draw(st.integers(1, 3), label="D")
+        n = data.draw(st.integers(1, 8), label="N")
+        n_extra = data.draw(st.integers(0, 4), label="extra centers")
+        inner = data.draw(_range_inner_kernels(D), label="inner")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+        X = rng.uniform(-1, 1, (n, 2))
+        extra = rng.uniform(-1, 1, (n_extra, 2)) if n_extra else None
+        prob = TwoLayerProblem(X, np.zeros(n), inner, GaussKernel(1.0, D), extra_centers=extra)
+        cm = rng.standard_normal((prob.n_centers, D))
+        want = np.einsum("dji,jd->id", inner.diag_cross(prob.centers, X), cm)
+        got = prob.images(cm.ravel())
+        assert got.shape == (n, D)
+        scale = np.einsum("dji,jd->id", np.abs(inner.diag_cross(prob.centers, X)), np.abs(cm))
+        assert np.all(np.abs(got - want) <= 1e-13 * scale + 1e-300)
 
 
 class TestCoercivity:

@@ -70,12 +70,6 @@ class TestGram:
             np.testing.assert_array_equal(M, M.T)
             assert np.all(np.diag(M) > 0)
 
-    def test_rectangular(self):
-        rng = np.random.default_rng(1)
-        X, Z = rng.standard_normal((3, 2)), rng.standard_normal((5, 2))
-        M = gram(GaussKernel(1.0, 2), X, Z)
-        assert M.shape == (3, 5)
-
 
 class TestSpdSolve:
     def test_scalar(self):

@@ -120,9 +120,8 @@ class TestBfgs:
         assert res.objective <= 1e-10
 
     def test_wolfe_conditions_at_accepted_steps(self):
-        from deepkern.optimize import _strong_wolfe
+        from deepkern.optimize import WOLFE_C1, WOLFE_C2, _strong_wolfe
 
-        c1, c2 = 1e-4, 0.9
         x = np.array([-0.5, 0.8])
         g0 = rosenbrock_grad(x)
         p = -g0
@@ -135,11 +134,11 @@ class TestBfgs:
             ga = rosenbrock_grad(x + a * p)
             return ga, float(ga @ p)
 
-        out = _strong_wolfe(feval, geval, f0, dphi0, c1, c2)
+        out = _strong_wolfe(feval, geval, f0, dphi0)
         assert out is not None
         a, fa, ga = out
-        assert fa <= f0 + c1 * a * dphi0               # sufficient decrease
-        assert abs(float(ga @ p)) <= -c2 * dphi0       # curvature
+        assert fa <= f0 + WOLFE_C1 * a * dphi0         # sufficient decrease
+        assert abs(float(ga @ p)) <= -WOLFE_C2 * dphi0  # curvature
 
 
 class TestRangeBasis:

@@ -1,5 +1,8 @@
-"""Package layout: every submodule is reachable under its own name."""
+"""Package layout: every submodule is reachable under its own name, and what importing it loads."""
 
+import os
+import subprocess
+import sys
 import types
 
 
@@ -15,3 +18,15 @@ def test_submodules_import_as_modules():
 
     for module in (cli, deep_model, experiments, gram, kernels, optimize, single_layer):
         assert isinstance(module, types.ModuleType), module
+
+
+def test_import_leaves_scipy_optimize_out():
+    """The line search is hand-written because scipy.optimize costs about 20 MB of peak RSS."""
+    import deepkern
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(deepkern.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, deepkern, deepkern.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.strip() == "False"
