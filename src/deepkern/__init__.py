@@ -29,7 +29,6 @@ from .experiments import (
 )
 from .gram import (
     SingularMatrixError,
-    energy_quadratic_form,
     spd_solve,
 )
 from .kernels import (

@@ -65,7 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gram import SingularMatrixError, by_point_blocks, gram, spd_solve
+from .gram import SingularMatrixError, by_point_blocks, gram, shift_diagonal, spd_solve
 from .kernels import matrix_from_params, matrix_to_params, scalar_from_params, scalar_to_params
 
 SENTINEL = math.inf   # the value of every infeasible point
@@ -201,7 +201,7 @@ def _objective_value(c, prob, lam, mu, gamma):
     if not np.all(np.isfinite(Q)):   # overflowed images, e.g. runaway line-search trial
         return SENTINEL, None
     try:
-        alpha, _ = spd_solve(Q + lam * np.eye(len(Q)) if lam else Q, prob.y)
+        alpha, _ = spd_solve(shift_diagonal(Q, lam) if lam else Q, prob.y)
     except SingularMatrixError:      # for lam > 0 unreachable in exact arithmetic
         return SENTINEL, None
     if lam:   # lam alpha^T Q alpha + |y - Q alpha|^2, weights (s, w) = (lam, mu)
@@ -352,9 +352,9 @@ def predict_two_layer(model, points):
     """f(g(.)): map the points through g, then evaluate the outer expansion.
 
     By the representer theorem this is the finite expansion
-    sum_j alpha_j K(g(x_j), g(t)), evaluated in blocks of
-    ``gram.POINT_BLOCK`` points, so memory is O(N D POINT_BLOCK) for any
-    number of points.  The same points array at the same BLAS thread count
+    sum_j alpha_j K(g(x_j), g(t)), evaluated in cache-sized blocks of
+    ``gram.POINT_BLOCK`` = 256 points, so memory is O(N D POINT_BLOCK) for
+    any number of points.  The same points array at the same BLAS thread count
     gives the same bits; a point's value can differ in the last bits with
     the batch it is predicted in (see ``gram``).
     """

@@ -348,7 +348,7 @@ def run_comparison(tf, outer, inner, plan, cv_plan=None, mode="interpolation",
 def inner_transform_dump(model, grid):
     """Rows (t_1, t_2, g_1(t), ..., g_D(t)) showing the learned deformation.
 
-    g is evaluated in blocks of ``gram.POINT_BLOCK`` grid points.
+    g is evaluated in blocks of ``gram.POINT_BLOCK`` = 256 grid points.
     """
     pts = grid.points()
     prob = model.problem()

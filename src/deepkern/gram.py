@@ -11,13 +11,14 @@ which keeps residuals near machine precision even close to the jitter
 boundary.
 
 Kernel evaluations at m new points go through ``by_point_blocks``, which
-evaluates them ``POINT_BLOCK`` rows at a time, so a read path holds
-O(N D POINT_BLOCK) memory however large m is.  Each block runs the same
-formula as a single call would, so the results agree up to rounding: the
-same points array at the same BLAS thread count gives the same bits, but
-a point's value can differ in the last bits with the batch it is
-evaluated in, blocked or not, because BLAS orders its reductions by the
-shape of the call.
+evaluates them ``POINT_BLOCK`` = 256 rows at a time, so a read path holds
+O(N D POINT_BLOCK) memory however large m is.  The block is small enough
+that a process does not page-fault its temporaries in again for every
+block (see the constant).  Each block runs the same formula as a single
+call would, so the results agree up to rounding: the same points array at
+the same BLAS thread count gives the same bits, but a point's value can
+differ in the last bits with the batch it is evaluated in, blocked or
+not, because BLAS orders its reductions by the shape of the call.
 """
 
 import numpy as np
@@ -42,9 +43,15 @@ def gram(kernel, X):
     return 0.5 * (M + M.T)
 
 
-# rows per block: the peak memory of a read path grows with it, and smaller
-# blocks cost CPU (1024 rows took about 35% longer on a 40,401-point grid)
-POINT_BLOCK = 4096
+# rows per block.  A block's largest temporary is the (D, N, rows) stack of
+# inner kernel values.  Once a block's temporaries pass a few MB, a fresh
+# process page-faults them in again block after block (ru_minflt).
+# Predicting a 40,401-point grid with an N = 100, D = 5 model (1 BLAS
+# thread): 256 rows (a 1 MB stack) took a few hundred minor faults and
+# 0.25 s of CPU, 1024 rows 83k faults and 0.55 s, 4096 rows 52k faults and
+# 0.51 s.  The cliff lies between 512 and 1024 rows; 256 keeps a factor
+# of two.
+POINT_BLOCK = 256
 
 
 def by_point_blocks(fn, points):
@@ -60,6 +67,17 @@ def by_point_blocks(fn, points):
                            for i in range(0, len(points), POINT_BLOCK)])
 
 
+def shift_diagonal(M, t):
+    """M + t I as a new array, without forming I; M is left as it is.
+
+    The diagonal gets the same sums as ``M + t * np.eye(n)``; off it, that
+    form adds t * 0 = +0, which changes no value, and this adds nothing.
+    """
+    out = np.array(M, dtype=float, order="C")
+    out.ravel()[::len(out) + 1] += t
+    return out
+
+
 def spd_factor(M):
     """Cholesky factor of M + jitter*I, escalating jitter until it succeeds.
 
@@ -73,7 +91,7 @@ def spd_factor(M):
     for jitter in JITTERS:
         # info > 0: not positive definite; info < 0 (a bad argument) cannot
         # occur, as the wrapper checks shapes and types before LAPACK runs
-        factor, info = dpotrf(M + jitter * np.eye(M.shape[0]) if jitter else M, lower=1, clean=0)
+        factor, info = dpotrf(shift_diagonal(M, jitter) if jitter else M, lower=1, clean=0)
         if info == 0:
             return factor, jitter
     cond = float(np.linalg.cond(M))
@@ -94,15 +112,8 @@ def spd_solve(M, b):
     if not np.all(np.isfinite(b)):
         raise ValueError("right-hand side contains non-finite entries")
     factor, jitter = spd_factor(M)
-    Mj = M + jitter * np.eye(M.shape[0]) if jitter else M
+    Mj = shift_diagonal(M, jitter) if jitter else M
     x = dpotrs(factor, b, lower=1)[0]
     # one refinement pass; negligible cost next to the factorization
     x = x + dpotrs(factor, b - Mj @ x, lower=1)[0]
     return x, jitter
-
-
-def energy_quadratic_form(M, y):
-    """y^T M^{-1} y without forming the inverse."""
-    y = np.asarray(y, dtype=float)
-    x, _ = spd_solve(M, y)
-    return float(y @ x)

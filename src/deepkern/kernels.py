@@ -18,7 +18,10 @@ Each scalar family offers ``cross(X, Z)``, the (n, m) Gram block, and
 Gaussian and tensor-Matern kernels the derivative is the kernel value times
 a cheap factor, so ``vjp`` reuses the Gram matrix K = cross(Z, Z) that the
 caller already holds; both methods work on (n, m) arrays one coordinate at
-a time, and neither builds an (n, m, D) temporary.  ``grad2_cross(X, Z)``,
+a time, and neither builds an (n, m, D) temporary.  Their ``cross`` writes
+each coordinate's differences into one reused (n, m) scratch array and
+finishes in place, with the same operations in the same order as the
+allocating form, so the bits are the same.  ``grad2_cross(X, Z)``,
 the (n, m, D) tensor of the same derivatives, is the reference that
 ``vjp`` is tested against.
 
@@ -154,10 +157,13 @@ class GaussKernel:
     def cross(self, X, Z):
         X, Z = _check_points(self, X), _check_points(self, Z)
         sq = np.zeros((len(X), len(Z)))
+        d = np.empty_like(sq)   # scratch for one coordinate's differences
         for i in range(self.dim):
-            d = np.subtract.outer(X[:, i], Z[:, i])
-            sq += d * d
-        return np.exp(-sq / (2.0 * self.sigma**2))
+            np.subtract.outer(X[:, i], Z[:, i], out=d)
+            sq += np.multiply(d, d, out=d)
+        # -sq / t and sq / -t round alike, so this is exp(-|x - y|^2 / (2 sigma^2))
+        np.divide(sq, -(2.0 * self.sigma**2), out=sq)
+        return np.exp(sq, out=sq)
 
     def grad2_cross(self, X, Z):
         X, Z = _check_points(self, X), _check_points(self, Z)
@@ -212,15 +218,17 @@ class TensorMaternKernel:
         X, Z = _check_points(self, X), _check_points(self, Z)
         poly, _ = _matern_polys(self.order)
         r_sum = np.zeros((len(X), len(Z)))
+        r = np.empty_like(r_sum)   # scratch for one coordinate's distances
         p_prod = None
         for i in range(self.dim):
-            r = np.abs(np.subtract.outer(X[:, i], Z[:, i]))
+            np.abs(np.subtract.outer(X[:, i], Z[:, i], out=r), out=r)
             r_sum += r
             if self.order > 1:   # P = 1 at order 1
                 p = np.polyval(poly, r)
-                p_prod = p if p_prod is None else p_prod * p
-        K = SQRT_HALF_PI**self.dim * np.exp(-r_sum)
-        return K if p_prod is None else K * p_prod
+                p_prod = p if p_prod is None else np.multiply(p_prod, p, out=p_prod)
+        K = np.exp(np.negative(r_sum, out=r_sum), out=r_sum)
+        K *= SQRT_HALF_PI**self.dim
+        return K if p_prod is None else np.multiply(K, p_prod, out=K)
 
     def grad2_cross(self, X, Z):
         X, Z = _check_points(self, X), _check_points(self, Z)

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gram import by_point_blocks, gram, spd_solve
+from .gram import by_point_blocks, gram, shift_diagonal, spd_solve
 
 
 @dataclass(frozen=True)
@@ -28,14 +28,14 @@ def fit_single(kernel, X, y, lam=0.0):
     if len(y) != len(X):
         raise ValueError("X and y lengths differ")
     M = gram(kernel, X)
-    alpha, _ = spd_solve(M + lam * np.eye(len(M)) if lam else M, y)
+    alpha, _ = spd_solve(shift_diagonal(M, lam) if lam else M, y)
     return SingleLayerModel(kernel=kernel, centers=X, alpha=alpha, lam=float(lam))
 
 
 def predict_single(model, points):
     """Evaluate the fitted expansion at one point or a (m, d) batch.
 
-    The batch is evaluated in blocks of ``gram.POINT_BLOCK`` points, so
+    The batch is evaluated in blocks of ``gram.POINT_BLOCK`` = 256 points, so
     memory is O(N POINT_BLOCK) for any m; a point's value can differ in
     the last bits with the batch it is in (see ``gram``).
     """

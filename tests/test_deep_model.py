@@ -810,8 +810,9 @@ def assert_close(got, ref):
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * scale)
 
 
-BLOCK_SIZES = [0, 1, 7, POINT_BLOCK - 1, POINT_BLOCK, POINT_BLOCK + 1, POINT_BLOCK + 8,
-               2 * POINT_BLOCK + 3]
+# the edges of one block and of 16 blocks
+BLOCK_SIZES = [0, 1, 7] + [k * POINT_BLOCK + r for k, r in (
+    (1, -1), (1, 0), (1, 1), (1, 8), (2, 3), (16, -1), (16, 0), (16, 1), (16, 8), (32, 3))]
 
 
 def block_points(m, seed=1):
@@ -878,6 +879,17 @@ class TestPredictionMemory:
         peak_one = _traced_peak(predict_two_layer, model, one)
         peak_eight = _traced_peak(predict_two_layer, model, eight)
         assert peak_eight <= 1.5 * peak_one, (peak_one, peak_eight)
+
+    def test_blocks_stay_cache_sized_at_n100_d5(self):
+        # a block's largest temporary is the (D, N, rows) inner stack; at
+        # N = 100, D = 5 this prediction peaks at 2.5 MB with 256-row blocks,
+        # and the 40,401-point grid peaked at 33.4 MB with 4096-row blocks,
+        # whose memory a fresh process faulted in again for every block
+        model = mixture_model(BLOCK_OUTERS["tensor_matern"], n=100)
+        pts = block_points(8 * POINT_BLOCK)
+        predict_two_layer(model, pts)   # warm up, so lazy imports are not traced
+        peak = _traced_peak(predict_two_layer, model, pts)
+        assert peak <= 4_000_000, peak
 
 
 class TestMlmkl:

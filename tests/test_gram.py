@@ -11,7 +11,6 @@ from deepkern.gram import (
     POINT_BLOCK,
     SingularMatrixError,
     by_point_blocks,
-    energy_quadratic_form,
     gram,
     spd_solve,
 )
@@ -30,6 +29,9 @@ class TestByPointBlocks:
     @pytest.mark.parametrize("m, sizes", [
         (0, [0]),
         (1, [1]),
+        (16 * POINT_BLOCK, 16 * [POINT_BLOCK]),
+        (16 * POINT_BLOCK + 1, 16 * [POINT_BLOCK] + [1]),
+        (32 * POINT_BLOCK + 3, 32 * [POINT_BLOCK] + [3]),
         (POINT_BLOCK, [POINT_BLOCK]),
         (POINT_BLOCK + 1, [POINT_BLOCK, 1]),
         (2 * POINT_BLOCK + 3, [POINT_BLOCK, POINT_BLOCK, 3]),
@@ -69,6 +71,19 @@ class TestGram:
             M = gram(k, X)
             np.testing.assert_array_equal(M, M.T)
             assert np.all(np.diag(M) > 0)
+
+
+class TestShiftDiagonal:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_bits_of_adding_a_scaled_identity(self, order):
+        rng = np.random.default_rng(4)
+        for n in (1, 2, 7):
+            M = np.array(random_spd(rng, n), order=order)
+            M0 = M.copy()
+            for t in (1e-12, 1e-3, 0.7):
+                got = gram_module.shift_diagonal(M, t)
+                assert np.array_equal(got, M + t * np.eye(n))
+                np.testing.assert_array_equal(M, M0)
 
 
 class TestSpdSolve:
@@ -187,24 +202,29 @@ class TestSolvers:
         np.testing.assert_allclose(alpha, y / 1.5, rtol=1e-12)
 
 
+def energy(M, y):
+    """y^T M^{-1} y through the jittered solve."""
+    return float(y @ spd_solve(M, y)[0])
+
+
 class TestEnergyQuadraticForm:
     def test_identity(self):
-        assert energy_quadratic_form(np.eye(2), np.array([3.0, 4.0])) == pytest.approx(25.0)
+        assert energy(np.eye(2), np.array([3.0, 4.0])) == pytest.approx(25.0)
 
     def test_scalar(self):
-        assert energy_quadratic_form(np.array([[2.0]]), np.array([2.0])) == pytest.approx(2.0)
+        assert energy(np.array([[2.0]]), np.array([2.0])) == pytest.approx(2.0)
 
     def test_two_by_two(self):
         M = np.array([[2.0, 1.0], [1.0, 2.0]])
-        assert energy_quadratic_form(M, np.array([1.0, 1.0])) == pytest.approx(2.0 / 3.0, rel=1e-12)
+        assert energy(M, np.array([1.0, 1.0])) == pytest.approx(2.0 / 3.0, rel=1e-12)
 
     def test_nonnegative_and_zero_iff_zero(self):
         rng = np.random.default_rng(10)
         for _ in range(20):
             M = random_spd(rng, 5)
             y = rng.standard_normal(5)
-            assert energy_quadratic_form(M, y) > 0.0
-        assert energy_quadratic_form(random_spd(rng, 5), np.zeros(5)) == 0.0
+            assert energy(M, y) > 0.0
+        assert energy(random_spd(rng, 5), np.zeros(5)) == 0.0
 
 
 class TestInverseDerivativeIdentity:

@@ -331,6 +331,64 @@ class TestCrossFormulas:
                 assert got[2, 2] == 0.0
 
 
+def reference_gauss_cross(kernel, X, Z):
+    """The per-coordinate Gauss cross written with a fresh array per operation."""
+    sq = np.zeros((len(X), len(Z)))
+    for i in range(kernel.dim):
+        d = np.subtract.outer(X[:, i], Z[:, i])
+        sq += d * d
+    return np.exp(-sq / (2.0 * kernel.sigma**2))
+
+
+def reference_matern_cross(kernel, X, Z):
+    """The per-coordinate tensor-Matern cross written with a fresh array per operation."""
+    poly, _ = _matern_polys(kernel.order)
+    r_sum = np.zeros((len(X), len(Z)))
+    p_prod = None
+    for i in range(kernel.dim):
+        r = np.abs(np.subtract.outer(X[:, i], Z[:, i]))
+        r_sum += r
+        if kernel.order > 1:
+            p = np.polyval(poly, r)
+            p_prod = p if p_prod is None else p_prod * p
+    K = SQRT_HALF_PI**kernel.dim * np.exp(-r_sum)
+    return K if p_prod is None else K * p_prod
+
+
+CROSS_SHAPES = ((6, 0), (0, 4), (1, 9), (7, 1), (6, 9), (40, 30), (30, 257))
+
+
+class TestCrossInPlace:
+    """cross reuses scratch arrays; its bits are those of the allocating formulas."""
+
+    @staticmethod
+    def _check(kernel, reference, rng):
+        for n, m in CROSS_SHAPES:
+            if min(n, m) > 2:   # with coincident, shared and far coordinates
+                X, Z = TestCrossFormulas._points(rng, n, m, kernel.dim)
+            else:
+                X, Z = rng.standard_normal((n, kernel.dim)), rng.standard_normal((m, kernel.dim))
+            X0, Z0 = X.copy(), Z.copy()
+            got = kernel.cross(X, Z)
+            want = reference(kernel, X, Z)
+            assert got.shape == (n, m)
+            assert np.array_equal(got, want), (n, m)
+            np.testing.assert_array_equal(X, X0)
+            np.testing.assert_array_equal(Z, Z0)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_matern_bits(self, order, dim):
+        self._check(TensorMaternKernel(order, dim), reference_matern_cross,
+                    np.random.default_rng(100 + 10 * order + dim))
+
+    @pytest.mark.parametrize("sigma", [0.1, 0.7, 1.0, 4.0, 10.0])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_gauss_bits(self, sigma, dim):
+        self._check(GaussKernel(sigma, dim), reference_gauss_cross,
+                    np.random.default_rng(200 + dim))
+
+
 class TestMatrixKernels:
     def test_diag_scaled_identity_at_coincidence(self):
         K = DiagScaledKernel(GaussKernel(sigma=1.0, dim=2), weights=(1.0, 1.0))
