@@ -4,16 +4,12 @@ from .deep_model import (
     SENTINEL,
     TwoLayerModel,
     TwoLayerProblem,
-    block_gram,
     fit_two_layer,
-    inner_norm_sq,
     load_model,
     mlmkl_equivalence_check,
     objective_pair,
     objective_reg,
-    penalty_coth,
     predict_two_layer,
-    q_matrix,
     save_model,
 )
 from .experiments import (

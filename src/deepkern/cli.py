@@ -43,6 +43,7 @@ from .experiments import (
     stream_seed,
     write_error_grid_csv,
     write_inner_map_csv,
+    write_predictions_csv,
     write_report,
 )
 from .gram import SingularMatrixError
@@ -185,11 +186,8 @@ def _cmd_predict(args):
     d = model.X.shape[1]
     if pts.size and pts.shape[1] != d:
         raise ValueError(f"points have dimension {pts.shape[1]}, model expects {d}")
-    print(",".join(f"x{i+1}" for i in range(d)) + ",prediction")
-    if pts.size:
-        preds = predict_two_layer(model, pts)
-        for row, p in zip(pts, preds):
-            print(",".join(repr(float(v)) for v in row) + f",{float(p)!r}")
+    pts = pts.reshape(len(pts), d)   # a header-only file may name other columns
+    write_predictions_csv(None, pts, predict_two_layer(model, pts))
     return 0
 
 
@@ -228,11 +226,10 @@ def _cmd_demo(args):
             cv_plan = CvPlan(lambda_grid=grid, mu_grid=grid)
         report = run_comparison(tf, outer, inner, plan, cv_plan=cv_plan, mode=mode,
                                 config=config, cv_config=cv_config)
-        write_report(os.path.join(out_dir, "report.txt"), report)
+        lines = report.lines()
         write_error_grid_csv(os.path.join(out_dir, "two_layer_error.csv"), report.two_layer.error)
         write_error_grid_csv(os.path.join(out_dir, "single_layer_error.csv"), report.single_layer.error)
         write_inner_map_csv(os.path.join(out_dir, "inner_map.csv"), report.two_layer_model, EvalGrid())
-        print("\n".join(report.lines()))
     else:   # linear versus nonlinear outer kernel on the mixture inner kernel
         mixture = DiagMixtureKernel(components=(
             GaussKernel(sigma=0.1, dim=2),
@@ -252,15 +249,14 @@ def _cmd_demo(args):
         lines = ["figure=" + args.figure, "scale=" + args.scale]
         lines += ["setting1." + ln for ln in rep1.lines()]
         lines += ["setting2." + ln for ln in rep2.lines()]
-        with open(os.path.join(out_dir, "report.txt"), "w") as fh:
-            fh.write("\n".join(lines) + "\n")
         write_error_grid_csv(os.path.join(out_dir, "setting1_error.csv"), rep1.two_layer.error)
         write_error_grid_csv(os.path.join(out_dir, "setting2_error.csv"), rep2.two_layer.error)
         write_error_grid_csv(os.path.join(out_dir, "single_layer_error.csv"), rep2.single_layer.error)
         grid = EvalGrid()
         write_inner_map_csv(os.path.join(out_dir, "setting1_inner_map.csv"), rep1.two_layer_model, grid)
         write_inner_map_csv(os.path.join(out_dir, "setting2_inner_map.csv"), rep2.two_layer_model, grid)
-        print("\n".join(lines))
+    write_report(os.path.join(out_dir, "report.txt"), lines)
+    write_report(None, lines)
     return 0
 
 
@@ -302,8 +298,7 @@ def _cmd_error_grid(args):
     model = load_model(args.model)
     grid = EvalGrid(meshwidth=args.meshwidth)
     err = pointwise_error_grid(lambda pts: predict_two_layer(model, pts), args.function, grid)
-    out = args.out or "/dev/stdout"
-    write_error_grid_csv(out, err)
+    write_error_grid_csv(args.out, err)
     print(f"mean_error={err.mean_error!r}", file=sys.stderr)
     print(f"max_error={err.max_error!r}", file=sys.stderr)
     print(f"frac_above_10pct={err.frac_above_10pct!r}", file=sys.stderr)
@@ -313,7 +308,7 @@ def _cmd_error_grid(args):
 def _cmd_inner_map(args):
     model = load_model(args.model)
     grid = EvalGrid(meshwidth=args.meshwidth)
-    write_inner_map_csv(args.out or "/dev/stdout", model, grid)
+    write_inner_map_csv(args.out, model, grid)
     return 0
 
 

@@ -19,10 +19,14 @@ call would, so the results agree up to rounding: the same points array at
 the same BLAS thread count gives the same bits, but a point's value can
 differ in the last bits with the batch it is evaluated in, blocked or
 not, because BLAS orders its reductions by the shape of the call.
+
+scipy (``dpotrf``/``dpotrs``) loads on the first solve, not at import, so
+the commands that only read a model never load it.
 """
 
+import functools
+
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 
 class SingularMatrixError(RuntimeError):
@@ -78,6 +82,13 @@ def shift_diagonal(M, t):
     return out
 
 
+@functools.cache
+def _lapack():
+    """(dpotrf, dpotrs), imported on first use."""
+    from scipy.linalg.lapack import dpotrf, dpotrs
+    return dpotrf, dpotrs
+
+
 def spd_factor(M):
     """Cholesky factor of M + jitter*I, escalating jitter until it succeeds.
 
@@ -88,6 +99,7 @@ def spd_factor(M):
     M = np.asarray(M, dtype=float)
     if not np.all(np.isfinite(M)):
         raise ValueError("matrix contains non-finite entries")
+    dpotrf = _lapack()[0]
     for jitter in JITTERS:
         # info > 0: not positive definite; info < 0 (a bad argument) cannot
         # occur, as the wrapper checks shapes and types before LAPACK runs
@@ -113,6 +125,7 @@ def spd_solve(M, b):
         raise ValueError("right-hand side contains non-finite entries")
     factor, jitter = spd_factor(M)
     Mj = shift_diagonal(M, jitter) if jitter else M
+    dpotrs = _lapack()[1]
     x = dpotrs(factor, b, lower=1)[0]
     # one refinement pass; negligible cost next to the factorization
     x = x + dpotrs(factor, b - Mj @ x, lower=1)[0]

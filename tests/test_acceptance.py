@@ -14,14 +14,9 @@ import pytest
 from deepkern.cli import main
 from deepkern.deep_model import (
     TwoLayerProblem,
-    block_gram,
-    inner_norm_sq,
     mlmkl_equivalence_check,
     objective_pair,
     objective_reg,
-    penalty_coth,
-    q_matrix,
-
 )
 from deepkern.experiments import (
     CvPlan,
@@ -40,6 +35,8 @@ from deepkern.kernels import (
 )
 from deepkern.optimize import BfgsConfig, multistart
 from deepkern.single_layer import fit_single
+
+from oracles import block_gram, inner_norm_sq, penalty_coth, q_matrix
 
 SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 

@@ -1,10 +1,14 @@
 """Command-line interface: exit codes, round trips, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import deepkern
 from deepkern.cli import _build_cv_plan, _build_opt_config, main
 from deepkern.deep_model import TwoLayerModel, load_model, predict_two_layer, save_model
 from deepkern.experiments import CvPlan, SamplingPlan, sample_dataset
@@ -38,6 +42,24 @@ def write_config(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def save_small_model(tmp_path, name="model.json"):
+    """A saved two-point model, built by hand; returns its path."""
+    model = TwoLayerModel(
+        X=np.array([[0.0, 0.0], [0.5, -0.5]]),
+        inner=DiagScaledKernel(PolyKernel(1, 2), weights=(1.0, 1.0)),
+        outer=GaussKernel(1.0, 2), c=np.array([[0.0, 0.0], [1.0, 0.5]]),
+        alpha=np.array([1.0, -0.5]), lam=0.0, mu=0.0, gamma=0.0, objective_value=1.0)
+    path = str(tmp_path / name)
+    save_model(model, path)
+    return path
+
+
+def src_env():
+    """The environment, with this checkout's package directory first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(deepkern.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def write_data(tmp_path, n=10, seed=3, name="data.csv", tf="h1"):
@@ -176,7 +198,7 @@ class TestPredict:
         printed = [float(l.split(",")[-1]) for l in first.strip().splitlines()[1:]]
         np.testing.assert_array_equal(np.array(printed), direct)
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
     def test_nonfinite_point_exits_2(self, tmp_path, capsys, value):
         model_path, _ = self._fit(tmp_path)
         capsys.readouterr()
@@ -241,12 +263,7 @@ class TestOtherCommands:
     @pytest.mark.parametrize("command", ["error-grid", "inner-map"])
     @pytest.mark.parametrize("meshwidth", ["0", "-0.1", "nan"])
     def test_bad_mesh_width_exits_2(self, tmp_path, capsys, command, meshwidth):
-        model = TwoLayerModel(
-            X=np.zeros((1, 2)), inner=DiagScaledKernel(PolyKernel(1, 2), weights=(1.0, 1.0)),
-            outer=GaussKernel(1.0, 2), c=np.zeros((1, 2)), alpha=np.ones(1),
-            lam=0.0, mu=0.0, gamma=0.0, objective_value=1.0)
-        model_path = str(tmp_path / "model.json")
-        save_model(model, model_path)
+        model_path = save_small_model(tmp_path)
         extra = ["--function", "h1"] if command == "error-grid" else []
         out_csv = tmp_path / "out.csv"
         assert main([command, "--model", model_path, *extra, "--meshwidth", meshwidth,
@@ -257,6 +274,49 @@ class TestOtherCommands:
     def test_missing_model_file_exits_2(self, tmp_path):
         assert main(["predict", "--model", str(tmp_path / "nope.txt"),
                      "--points", str(tmp_path / "nope.csv")]) == 2
+
+
+# the three read-path commands, each writing its CSV to stdout; {model} and
+# {points} are filled in with file paths
+READ_COMMANDS = {
+    "predict": ["predict", "--model", "{model}", "--points", "{points}"],
+    "error-grid": ["error-grid", "--model", "{model}", "--function", "h1", "--meshwidth", "0.5"],
+    "inner-map": ["inner-map", "--model", "{model}", "--meshwidth", "0.5"],
+}
+
+
+def read_command(tmp_path, command):
+    """argv of a read-path command on a saved two-point model and a two-point file."""
+    model = save_small_model(tmp_path)
+    points = tmp_path / "pts.csv"
+    points.write_text("x1,x2\n0.1,0.2\n-0.5,0.75\n")
+    return [a.format(model=model, points=points) for a in READ_COMMANDS[command]]
+
+
+class TestOutputStream:
+    @pytest.mark.parametrize("command", ["error-grid", "inner-map"])
+    def test_csv_without_out_goes_to_sys_stdout(self, tmp_path, capsys, command):
+        argv = read_command(tmp_path, command)
+        out_csv = tmp_path / "out.csv"
+        assert main([*argv, "--out", str(out_csv)]) == 0
+        capsys.readouterr()
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        assert printed == out_csv.read_text()
+        assert len(printed.splitlines()) == 1 + 25
+
+    @pytest.mark.parametrize("command", sorted(READ_COMMANDS))
+    def test_appends_to_stdout_opened_for_append(self, tmp_path, command):
+        argv = read_command(tmp_path, command)
+        log = tmp_path / "log.csv"
+        log.write_text("previous\n")
+        with open(log, "a") as fh:
+            subprocess.run([sys.executable, "-m", "deepkern.cli", *argv], stdout=fh,
+                           env=src_env(), check=True)
+        lines = log.read_text().splitlines()
+        assert lines[0] == "previous"
+        assert lines[1].startswith(("x1,x2,", "t1,t2,"))
+        assert len(lines) == 2 + (2 if command == "predict" else 25)
 
 
 class TestDemoWiring:

@@ -17,16 +17,12 @@ from deepkern.deep_model import (
     TwoLayerProblem,
     _objective_grad,
     _objective_value,
-    block_gram,
     fit_two_layer,
-    inner_norm_sq,
     load_model,
     mlmkl_equivalence_check,
     objective_pair,
     objective_reg,
-    penalty_coth,
     predict_two_layer,
-    q_matrix,
     range_basis,
     save_model,
 )
@@ -41,6 +37,8 @@ from deepkern.kernels import (
 )
 from deepkern.optimize import BfgsConfig, OptimizationError, finite_diff_grad, multistart
 from deepkern.single_layer import SingleLayerModel, predict_single
+
+from oracles import block_gram, inner_norm_sq, penalty_coth, q_matrix
 
 POLY1 = DiagScaledKernel(PolyKernel(1, 2), weights=(1.0, 1.0))
 GAUSS_OUT = GaussKernel(1.0, 2)

@@ -122,13 +122,13 @@ class TestSpdSolve:
 
     def test_indefinite_tries_each_jitter_once(self, monkeypatch):
         attempts = []
-        dpotrf = gram_module.dpotrf
+        dpotrf, dpotrs = gram_module._lapack()
 
         def counting_dpotrf(*args, **kwargs):
             attempts.append(args[0])
             return dpotrf(*args, **kwargs)
 
-        monkeypatch.setattr(gram_module, "dpotrf", counting_dpotrf)
+        monkeypatch.setattr(gram_module, "_lapack", lambda: (counting_dpotrf, dpotrs))
         with pytest.raises(SingularMatrixError, match="1e-06"):
             spd_solve(np.array([[1.0, 0.0], [0.0, -1.0]]), np.array([1.0, 1.0]))
         assert len(attempts) == len(JITTERS) == 8
