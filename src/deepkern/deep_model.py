@@ -67,6 +67,7 @@ import numpy as np
 
 from .gram import SingularMatrixError, by_point_blocks, gram, shift_diagonal, spd_solve
 from .kernels import matrix_from_params, matrix_to_params, scalar_from_params, scalar_to_params
+from .single_layer import SingleLayerModel, predict_single
 
 SENTINEL = math.inf   # the value of every infeasible point
 RANGE_CUTOFF = 1e-12  # range_basis keeps eigenvalues above this times the block's largest
@@ -323,22 +324,20 @@ class TwoLayerModel:
 def predict_two_layer(model, points):
     """f(g(.)): map the points through g, then evaluate the outer expansion.
 
-    By the representer theorem this is the finite expansion
-    sum_j alpha_j K(g(x_j), g(t)), evaluated in cache-sized blocks of
-    ``gram.POINT_BLOCK`` = 256 points, so memory is O(N D POINT_BLOCK) for
-    any number of points.  The same points array at the same BLAS thread count
-    gives the same bits; a point's value can differ in the last bits with
-    the batch it is predicted in (see ``gram``).
+    By the representer theorem the outer layer is the single-layer expansion
+    sum_j alpha_j K(g(x_j), .) over the mapped training points, so each
+    cache-sized block of ``gram.POINT_BLOCK`` = 256 points is mapped and
+    handed to ``predict_single``; memory is O(N D POINT_BLOCK) for any number
+    of points.  The same points array at the same BLAS thread count gives
+    the same bits; a point's value can differ in the last bits with the
+    batch it is predicted in (see ``gram``).
     """
     pts = np.asarray(points, dtype=float)
     single = pts.ndim == 1
     prob = model.problem()
-    z_train = prob.images(model.c)
-
-    def block_values(block):
-        return model.outer.cross(z_train, prob.images_at(model.c, block)).T @ model.alpha
-
-    vals = by_point_blocks(block_values, np.atleast_2d(pts))
+    outer = SingleLayerModel(model.outer, prob.images(model.c), model.alpha, model.lam)
+    vals = by_point_blocks(lambda block: predict_single(outer, prob.images_at(model.c, block)),
+                           np.atleast_2d(pts))
     return float(vals[0]) if single else vals
 
 

@@ -14,17 +14,15 @@ All randomness flows from one master seed expanded into named streams
 byte-reproducible.
 """
 
-import dataclasses
 import itertools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .deep_model import fit_two_layer, predict_two_layer
 from .gram import by_point_blocks
-from .kernels import scalar_from_params, scalar_to_params
 from .optimize import BfgsConfig
 from .single_layer import fit_single, predict_single
 
@@ -187,16 +185,11 @@ def cross_validate(dataset, inner, outer, cv_plan, config, threads=1):
                 preds = predict_two_layer(model, dataset.X[held_out])
                 scores[il, im, k] = float(np.mean((preds - dataset.y[held_out]) ** 2))
     mean_scores = scores.mean(axis=-1)
-    best = None
-    for il, lam in enumerate(cv_plan.lambda_grid):
-        for im, mu in enumerate(cv_plan.mu_grid):
-            cand = (mean_scores[il, im], lam, mu)
-            if best is None or cand[0] < best[0] or (
-                cand[0] == best[0] and (lam, mu) > (best[1], best[2])
-            ):
-                best = cand
+    # the smallest mean score; on a tie the larger (lambda, mu), and the first of repeats
+    il, im = min(np.ndindex(n_lam, n_mu), key=lambda i: (
+        mean_scores[i], -cv_plan.lambda_grid[i[0]], -cv_plan.mu_grid[i[1]]))
     return CvResult(
-        best_lambda=best[1], best_mu=best[2],
+        best_lambda=cv_plan.lambda_grid[il], best_mu=cv_plan.mu_grid[im],
         lambda_grid=cv_plan.lambda_grid, mu_grid=cv_plan.mu_grid,
         fold_scores=scores,
     )
@@ -278,70 +271,51 @@ class ComparisonReport:
         return out
 
 
-def _baseline_kernel(outer, dim):
-    params = scalar_to_params(outer)
-    params["dim"] = dim
-    return scalar_from_params(params)
-
-
 def run_comparison(tf, outer, inner, plan, cv_plan=None, mode="interpolation",
                    config=None, cv_config=None, grid=None):
     """Fit the two-layer model and the single-layer baseline, report grid errors.
 
     Interpolation mode fits both arms exactly; regression mode selects
     (lambda, mu) by cross-validation for the two-layer arm and gives the
-    baseline its best possible lambda, chosen directly on the true grid
-    error.
+    baseline its best lambda in ``cv_plan.lambda_grid``, chosen directly on
+    the true grid error (the first one on a tie).  Every seed derives from
+    ``plan.seed``; the seeds of ``config``, ``cv_config`` and ``cv_plan`` are replaced.
     """
     if mode not in ("interpolation", "regression"):
         raise ValueError(f"unknown mode {mode!r}")
+    if mode == "regression" and cv_plan is None:
+        raise ValueError("regression mode needs a CV plan")
     config = config or BfgsConfig()
     grid = grid or EvalGrid()
     dataset = sample_dataset(tf, plan)
-    fit_config = dataclasses.replace(config, seed=stream_seed(plan.seed, "init"))
-    baseline = _baseline_kernel(outer, dataset.X.shape[1])
-
-    if mode == "interpolation":
-        model, result = fit_two_layer(dataset.X, dataset.y, inner, outer,
-                                      config=fit_config)
-        two_params = {"objective": result.objective, "restart_index": result.restart_index}
-        single = fit_single(baseline, dataset.X, dataset.y, lam=0.0)
-        single_params = {"lambda": 0.0}
-    else:
-        if cv_plan is None:
-            raise ValueError("regression mode needs a CV plan")
-        cell_config = dataclasses.replace(cv_config or fit_config,
-                                          seed=stream_seed(plan.seed, "init"))
-        cv_plan = dataclasses.replace(cv_plan, seed=plan.seed)
-        cv = cross_validate(dataset, inner, outer, cv_plan, cell_config)
-        model, result = fit_two_layer(dataset.X, dataset.y, inner, outer,
-                                      lam=cv.best_lambda, mu=cv.best_mu,
-                                      config=fit_config)
-        two_params = {
-            "lambda": cv.best_lambda, "mu": cv.best_mu,
-            "objective": result.objective, "restart_index": result.restart_index,
-        }
-        # oracle baseline: the lambda with the smallest true grid error
-        best = None
-        for lam in cv_plan.lambda_grid:
-            cand = fit_single(baseline, dataset.X, dataset.y, lam=lam)
-            err = pointwise_error_grid(lambda pts: predict_single(cand, pts), tf, grid)
-            if best is None or err.mean_error < best[0]:
-                best = (err.mean_error, lam, cand, err)
-        _, base_lam, single, single_err = best
-        single_params = {"lambda": base_lam}
-
+    fit_config = replace(config, seed=stream_seed(plan.seed, "init"))
+    lam = mu = 0.0
+    two_params, lambda_grid = {}, (0.0,)
+    if mode == "regression":
+        cell_config = replace(cv_config, seed=fit_config.seed) if cv_config else fit_config
+        cv = cross_validate(dataset, inner, outer, replace(cv_plan, seed=plan.seed), cell_config)
+        lam, mu = cv.best_lambda, cv.best_mu
+        two_params, lambda_grid = {"lambda": lam, "mu": mu}, cv_plan.lambda_grid
+    model, result = fit_two_layer(dataset.X, dataset.y, inner, outer, lam=lam, mu=mu,
+                                  config=fit_config)
+    two_params.update(objective=result.objective, restart_index=result.restart_index)
     two_err = pointwise_error_grid(lambda pts: predict_two_layer(model, pts), tf, grid)
-    if mode == "interpolation":
-        single_err = pointwise_error_grid(lambda pts: predict_single(single, pts), tf, grid)
 
+    baseline = replace(outer, dim=dataset.X.shape[1])
+    best = None
+    for base_lam in lambda_grid:
+        cand = fit_single(baseline, dataset.X, dataset.y, lam=base_lam)
+        err = pointwise_error_grid(lambda pts: predict_single(cand, pts), tf, grid)
+        if best is None or err.mean_error < best[1].mean_error:
+            best = (cand, err)
+    single, single_err = best
     return ComparisonReport(
         test_function=tf,
         mode=mode,
         plan=plan,
         restarts=config.restarts,
         two_layer=ArmReport("two_layer", two_err, two_params),
-        single_layer=ArmReport("single_layer", single_err, single_params),
+        single_layer=ArmReport("single_layer", single_err, {"lambda": single.lam}),
         two_layer_model=model,
         single_layer_model=single,
     )

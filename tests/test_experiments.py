@@ -1,9 +1,11 @@
 """Harness pieces: test functions, sampling, CV, error grids, comparisons."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from deepkern.deep_model import TwoLayerModel
+from deepkern.deep_model import TwoLayerModel, fit_two_layer
 from deepkern.experiments import (
     TEST_FUNCTIONS,
     CvPlan,
@@ -21,6 +23,7 @@ from deepkern.experiments import (
     run_comparison,
     sample_dataset,
     stream_rng,
+    stream_seed,
     write_error_grid_csv,
 )
 from deepkern.kernels import DiagScaledKernel, GaussKernel, PolyKernel
@@ -142,6 +145,16 @@ class TestCrossValidate:
         assert means[0, 0] == means[1, 0]
         assert cv.best_lambda == 0.25
 
+    def test_tie_between_distinct_pairs_goes_to_the_largest(self, monkeypatch):
+        # every cell scores the same, so only the tie rule decides
+        import deepkern.experiments as exp
+        monkeypatch.setattr(exp, "fit_two_layer", lambda *args, **kwargs: (None, None))
+        monkeypatch.setattr(exp, "predict_two_layer", lambda model, pts: np.zeros(len(pts)))
+        plan = CvPlan(folds=3, lambda_grid=(1e-3, 1e-1, 1e-2), mu_grid=(0.5, 2.0), seed=1)
+        cv = cross_validate(linear_dataset(), POLY1, PolyKernel(1, 2), plan, BfgsConfig())
+        assert np.all(cv.mean_scores == cv.mean_scores[0, 0])
+        assert (cv.best_lambda, cv.best_mu) == (1e-1, 2.0)
+
     def test_linear_target_reaches_small_validation_error(self):
         ds = linear_dataset(n=20, seed=8)
         plan = CvPlan(folds=5, lambda_grid=(1e-6, 1e-2), mu_grid=(1e-6, 1e-2), seed=2)
@@ -216,6 +229,63 @@ class TestRunComparison:
                             mode="interpolation", config=cfg, grid=grid)
         assert r1.lines() == r2.lines()
         np.testing.assert_array_equal(r1.two_layer.error.errors, r2.two_layer.error.errors)
+
+
+class TestRunComparisonRegression:
+    """The regression path at toy size: N = 12, 2 folds, a two-value lambda grid."""
+
+    OUTER = GaussKernel(0.5, 2)
+    PLAN = SamplingPlan(n_samples=12, seed=33)
+    GRID = EvalGrid(meshwidth=0.25)
+    # every seed derives from PLAN.seed; at seed 99 the folds would pick (1e-3, 1e-2) instead
+    CV_PLAN = CvPlan(folds=2, lambda_grid=(1e-3, 1e-1), mu_grid=(1e-2, 1.0), seed=99)
+    CV_CONFIG = BfgsConfig(restarts=2, max_iters=30, seed=5)
+    CONFIG = BfgsConfig(restarts=2, max_iters=30, seed=6)
+
+    def _run(self):
+        return run_comparison("h1", self.OUTER, POLY1, self.PLAN, cv_plan=self.CV_PLAN,
+                              mode="regression", config=self.CONFIG,
+                              cv_config=self.CV_CONFIG, grid=self.GRID)
+
+    def test_arms_match_their_recomputed_choices(self):
+        report = self._run()
+        ds = sample_dataset("h1", self.PLAN)
+        errors = [pointwise_error_grid(
+            lambda pts: predict_single(fit_single(self.OUTER, ds.X, ds.y, lam=lam), pts),
+            "h1", self.GRID).mean_error for lam in self.CV_PLAN.lambda_grid]
+        assert report.single_layer.params == {"lambda": self.CV_PLAN.lambda_grid[np.argmin(errors)]}
+        assert report.single_layer.error.mean_error == min(errors)
+
+        init_seed = stream_seed(self.PLAN.seed, "init")
+        cv = cross_validate(ds, POLY1, self.OUTER, replace(self.CV_PLAN, seed=self.PLAN.seed),
+                            replace(self.CV_CONFIG, seed=init_seed))
+        _, refit = fit_two_layer(ds.X, ds.y, POLY1, self.OUTER, lam=cv.best_lambda,
+                                 mu=cv.best_mu, config=replace(self.CONFIG, seed=init_seed))
+        assert report.two_layer.params == {
+            "lambda": cv.best_lambda, "mu": cv.best_mu,
+            "objective": refit.objective, "restart_index": refit.restart_index,
+        }
+
+    def test_baseline_tie_goes_to_the_first_lambda(self, monkeypatch):
+        import deepkern.experiments as exp
+        monkeypatch.setattr(exp, "predict_single", lambda model, pts: np.zeros(len(pts)))
+        assert self._run().single_layer.params == {"lambda": self.CV_PLAN.lambda_grid[0]}
+
+    def test_interpolation_arm_param_keys(self):
+        report = run_comparison("h1", self.OUTER, POLY1, self.PLAN, mode="interpolation",
+                                config=BfgsConfig(restarts=2, max_iters=30), grid=self.GRID)
+        assert sorted(report.two_layer.params) == ["objective", "restart_index"]
+        assert report.single_layer.params == {"lambda": 0.0}
+
+    def test_missing_cv_plan_is_refused_before_sampling(self, monkeypatch):
+        import deepkern.experiments as exp
+
+        def no_sampling(*args):
+            raise AssertionError("sampled before checking the CV plan")
+
+        monkeypatch.setattr(exp, "sample_dataset", no_sampling)
+        with pytest.raises(ValueError, match="regression mode needs a CV plan"):
+            run_comparison("h1", self.OUTER, POLY1, self.PLAN, mode="regression")
 
 
 class TestInnerTransformDump:
