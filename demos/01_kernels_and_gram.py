@@ -15,7 +15,6 @@ from deepkern import (
     fit_single,
     spd_solve,
 )
-from deepkern.gram import gram
 
 x = np.array([0.3, -0.4])
 y = np.array([-0.1, 0.5])
@@ -40,7 +39,7 @@ rng = np.random.default_rng(0)
 X = rng.uniform(-1, 1, (6, 2))
 targets = np.sin(3 * X[:, 0]) * X[:, 1]
 k = GaussKernel(0.5, 2)
-M = gram(k, X)
+M = k.cross(X, X)
 alpha = fit_single(k, X, targets).alpha
 print(f"interpolation residual: {np.max(np.abs(M @ alpha - targets)):.2e}")
 print(f"native-space energy y^T M^-1 y = {targets @ alpha:.4f}")

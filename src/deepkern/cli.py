@@ -132,7 +132,6 @@ def _objective_params(cfg, plan):
         return lam, mu, gamma
     if plan is None:
         raise ValueError("regression needs 'lambda' and 'mu', or a 'cv' block")
-    check_regularization(min(plan.lambda_grid), min(plan.mu_grid))
     return None, None, gamma
 
 
@@ -141,8 +140,8 @@ def _load_inputs(args):
 
     fit, cv and gradcheck all read every block of the config here, so a
     config is rejected the same way by each of them.  A block of the wrong
-    JSON type (a number where an object or a list belongs, say) raises
-    ValueError naming the config file, as a malformed model file does.
+    JSON type (a number where an object or a list belongs, say) or an
+    infinite count raises ValueError naming the config file, as a bad model file does.
     """
     cfg = _load_config(args.config)
     dataset = read_dataset_csv(args.data)
@@ -152,7 +151,7 @@ def _load_inputs(args):
         config = _build_opt_config(cfg, stream_seed(seed, "init"))
         plan = _build_cv_plan(cfg, seed)
         params = _objective_params(cfg, plan)
-    except (TypeError, AttributeError) as e:
+    except (TypeError, AttributeError, OverflowError) as e:
         raise ValueError(f"{args.config}: malformed config ({e})") from None
     return dataset, outer, inner, seed, config, plan, params
 

@@ -65,7 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gram import SingularMatrixError, by_point_blocks, gram, shift_diagonal, spd_solve
+from .gram import SingularMatrixError, by_point_blocks, shift_diagonal, spd_solve
 from .kernels import matrix_from_params, matrix_to_params, scalar_from_params, scalar_to_params
 from .single_layer import SingleLayerModel, predict_single
 
@@ -96,8 +96,7 @@ class TwoLayerProblem:
         self.inner = inner
         self.outer = outer
         self.centers = self.X if extra_centers is None else np.vstack([self.X, extra_centers])
-        B = inner.diag_cross(self.centers, self.centers)
-        self.B = 0.5 * (B + np.transpose(B, (0, 2, 1)))   # (D, Nc, Nc); rows :N are the data
+        self.B = inner.diag_cross(self.centers, self.centers)   # (D, Nc, Nc); rows :N are the data
 
     @property
     def n_centers(self):
@@ -170,7 +169,7 @@ def _objective_value(c, prob, lam, mu, gamma):
         Bc = _block_times(prob, cm)
         norm = float(np.sum(cm * Bc))
         Z = Bc[:len(prob.X)]
-        Q = gram(prob.outer, Z)
+        Q = prob.outer.cross(Z, Z)
     if not np.all(np.isfinite(Q)):   # overflowed images, e.g. runaway line-search trial
         return SENTINEL, None
     try:

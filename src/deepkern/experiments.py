@@ -136,10 +136,11 @@ class CvPlan:
     def __post_init__(self):
         if self.folds < 2:
             raise ValueError("need at least two folds")
-        if not self.lambda_grid or not self.mu_grid:
-            raise ValueError("parameter grids must be nonempty")
-        object.__setattr__(self, "lambda_grid", tuple(float(v) for v in self.lambda_grid))
-        object.__setattr__(self, "mu_grid", tuple(float(v) for v in self.mu_grid))
+        for name in ("lambda_grid", "mu_grid"):
+            grid = tuple(float(v) for v in getattr(self, name))
+            if not (grid and all(0.0 < v < math.inf for v in grid)):   # also rejects NaN
+                raise ValueError(f"{name} must be nonempty, finite and positive, got {grid!r}")
+            object.__setattr__(self, name, grid)
 
 
 def fold_blocks(n, folds, rng):

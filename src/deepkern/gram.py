@@ -1,4 +1,4 @@
-"""Gram matrices and symmetric positive-definite solves.
+"""Symmetric positive-definite solves and blocked kernel evaluation.
 
 Every linear solve in the package goes through ``spd_solve``: a Cholesky
 factorization with an escalating diagonal jitter, one rung of ``JITTERS``
@@ -38,13 +38,6 @@ class SingularMatrixError(RuntimeError):
 
 
 JITTERS = (0.0, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
-
-
-def gram(kernel, X):
-    """Kernel matrix K(X_i, X_j), exactly symmetric."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    M = kernel.cross(X, X)
-    return 0.5 * (M + M.T)
 
 
 # rows per block.  A block's largest temporary is the (D, N, rows) stack of

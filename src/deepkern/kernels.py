@@ -17,13 +17,16 @@ Each scalar family offers ``cross(X, Z)``, the (n, m) Gram block, and
 ``vjp(Z, K, w)``, the (N, D) array sum_n w_n dk(Z_n, Z_p)/dZ_p.  For the
 Gaussian and tensor-Matern kernels the derivative is the kernel value times
 a cheap factor, so ``vjp`` reuses the Gram matrix K = cross(Z, Z) that the
-caller already holds; both methods work on (n, m) arrays one coordinate at
-a time, and neither builds an (n, m, D) temporary.  Their ``cross`` writes
-each coordinate's differences into one reused (n, m) scratch array and
-finishes in place, with the same operations in the same order as the
-allocating form, so the bits are the same.  ``grad2_cross(X, Z)``,
-the (n, m, D) tensor of the same derivatives, is the reference that
-``vjp`` is tested against.
+caller already holds; both methods go one coordinate at a time, with no
+(n, m, D) temporary, and ``cross`` finishes in one reused scratch array,
+with the allocating form's operations in its order, so the bits are the
+same.  ``grad2_cross(X, Z)``, the (n, m, D) tensor of the same
+derivatives, is the reference that ``vjp`` is tested against.
+``cross(X, X)`` of one float array is the Gram matrix as it comes, exactly
+symmetric, as is each block of ``diag_cross(X, X)``: entry (i, j) comes
+from x_i - x_j by sign-symmetric steps (a square or an absolute value,
+then sums and products in coordinate order), and numpy forms the
+polynomial kernel's ``X @ X.T`` of one array as a symmetric rank-k update.
 
 Matrix-valued (diagonal) kernels come in two flavors: a scalar kernel
 scaled by a per-output weight vector, and a diagonal mixture of distinct

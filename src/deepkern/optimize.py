@@ -57,6 +57,10 @@ class BfgsConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not (isinstance(self.max_iters, (int, np.integer)) and self.max_iters >= 1):
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
+        if not 0.0 <= self.grad_tol < np.inf:   # also rejects NaN
+            raise ValueError(f"grad_tol must be finite and >= 0, got {self.grad_tol!r}")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
         if self.seed < 0:

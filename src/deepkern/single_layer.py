@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gram import by_point_blocks, gram, shift_diagonal, spd_solve
+from .gram import by_point_blocks, shift_diagonal, spd_solve
 
 
 @dataclass(frozen=True)
@@ -27,7 +27,7 @@ def fit_single(kernel, X, y, lam=0.0):
         raise ValueError(f"lam must be nonnegative, got {lam!r}")
     if len(y) != len(X):
         raise ValueError("X and y lengths differ")
-    M = gram(kernel, X)
+    M = kernel.cross(X, X)
     alpha, _ = spd_solve(shift_diagonal(M, lam) if lam else M, y)
     return SingleLayerModel(kernel=kernel, centers=X, alpha=alpha, lam=float(lam))
 
@@ -48,5 +48,5 @@ def predict_single(model, points):
 
 def rkhs_norm_sq_single(model):
     """alpha^T M alpha, the squared RKHS norm of the fitted function."""
-    M = gram(model.kernel, model.centers)
+    M = model.kernel.cross(model.centers, model.centers)
     return float(model.alpha @ M @ model.alpha)

@@ -7,12 +7,12 @@ suite check it against them.
 import numpy as np
 
 from deepkern.deep_model import _block_times, _penalty_terms
-from deepkern.gram import gram
 
 
 def q_matrix(c, prob):
     """Outer Gram matrix of the mapped data points, exactly symmetric."""
-    return gram(prob.outer, prob.images(c))
+    Z = prob.images(c)
+    return prob.outer.cross(Z, Z)
 
 
 def inner_norm_sq(c, prob):
@@ -25,7 +25,6 @@ def block_gram(inner, X):
     """The (N D, N D) block matrix of Kmat(x_j, x_k), row-major coefficient order."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     B = inner.diag_cross(X, X)
-    B = 0.5 * (B + np.transpose(B, (0, 2, 1)))
     D, n, _ = B.shape
     out = np.zeros((n * D, n * D))
     for l in range(D):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import deepkern
+from deepkern import experiments
 from deepkern.cli import _build_cv_plan, _build_opt_config, main
 from deepkern.deep_model import TwoLayerModel, load_model, predict_two_layer, save_model
 from deepkern.experiments import CvPlan, SamplingPlan, sample_dataset
@@ -229,6 +230,19 @@ class TestOtherCommands:
         assert "best_lambda=" in out and "best_mu=" in out
         assert out.count("score.lambda=") == 2
 
+    @pytest.mark.parametrize("grid", [[0.1, float("nan")], [float("nan"), 0.1], [0.1, float("inf")]],
+                             ids=["nan-last", "nan-first", "inf"])
+    def test_cv_grid_with_a_nonfinite_value_exits_before_fitting(self, tmp_path, capsys,
+                                                                 monkeypatch, grid):
+        calls = []
+        monkeypatch.setattr(experiments, "fit_two_layer", lambda *a, **k: calls.append(a))
+        data, _ = write_data(tmp_path, n=6, seed=8)
+        cfg = {k: v for k, v in REG_CONFIG.items() if k not in ("lambda", "mu")}
+        cfg["cv"] = {"folds": 2, "lambda_grid": grid, "mu_grid": [0.01]}
+        assert main(["cv", "--config", write_config(tmp_path, cfg), "--data", data]) == 2
+        assert "lambda_grid must be nonempty, finite and positive" in capsys.readouterr().err
+        assert calls == []
+
     def test_gradcheck_command(self, tmp_path, capsys):
         data, _ = write_data(tmp_path, n=6, seed=9)
         cfg = write_config(tmp_path, REG_CONFIG)
@@ -406,7 +420,13 @@ class TestExitCodes:
         {"mode": "regres"},
         {"gamma": 0.5},
         {"lambda": None, "mu": None, "cv": {"folds": 2, "lambda_grid": [0.1, 0.0]}},
-    ], ids=["mode-typo", "gamma-under-regression", "cv-grid-with-zero"])
+        {"opt": {"max_iters": 0}},
+        {"opt": {"max_iters": -4}},
+        {"opt": {"max_iters": float("inf")}},
+        {"opt": {"grad_tol": float("nan")}},
+        {"opt": {"grad_tol": -1e-6}},
+    ], ids=["mode-typo", "gamma-under-regression", "cv-grid-with-zero", "max-iters-zero",
+            "max-iters-negative", "max-iters-infinite", "grad-tol-nan", "grad-tol-negative"])
     def test_config_that_fit_rejects_exits_2_everywhere(self, tmp_path, capsys, command, change):
         # a None value removes the key from the config
         cfg = {k: v for k, v in {**REG_CONFIG, **change}.items() if v is not None}

@@ -122,6 +122,14 @@ class TestGrids:
         g = decade_grid(2)
         np.testing.assert_allclose(g, [0.1, 0.001])
 
+    # a bad value comes last, where a check of min(grid) would skip a NaN
+    @pytest.mark.parametrize("values", [(0.1, 0.0), (0.1, -1.0), (0.1, float("nan")),
+                                        (0.1, float("inf")), ()])
+    @pytest.mark.parametrize("grid", ["lambda_grid", "mu_grid"])
+    def test_cv_plan_rejects_a_grid_no_regression_can_use(self, grid, values):
+        with pytest.raises(ValueError, match=f"{grid} must be nonempty, finite and positive"):
+            CvPlan(**{grid: values})
+
 
 def linear_dataset(n=15, seed=2):
     rng = np.random.default_rng(seed)

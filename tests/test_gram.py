@@ -1,4 +1,4 @@
-"""Gram assembly, jittered SPD solves, and the inverse-derivative identity."""
+"""Gram matrices as cross(X, X), jittered SPD solves, and the inverse-derivative identity."""
 
 import math
 
@@ -11,7 +11,6 @@ from deepkern.gram import (
     POINT_BLOCK,
     SingularMatrixError,
     by_point_blocks,
-    gram,
     spd_solve,
 )
 from deepkern.kernels import GaussKernel, PolyKernel, TensorMaternKernel
@@ -50,16 +49,21 @@ class TestByPointBlocks:
 
 
 class TestGram:
+    """A Gram matrix is the kernel's cross(X, X), taken as it comes."""
+
     def test_single_gauss_point(self):
-        M = gram(GaussKernel(sigma=1.0, dim=2), [[0.3, 0.4]])
+        X = np.array([[0.3, 0.4]])
+        M = GaussKernel(sigma=1.0, dim=2).cross(X, X)
         np.testing.assert_array_equal(M, [[1.0]])
 
     def test_poly_two_points(self):
-        M = gram(PolyKernel(degree=1, dim=2), [[1.0, 0.0], [0.0, 1.0]])
+        X = np.array([[1.0, 0.0], [0.0, 1.0]])
+        M = PolyKernel(degree=1, dim=2).cross(X, X)
         np.testing.assert_allclose(M, [[2.0, 1.0], [1.0, 2.0]])
 
     def test_matern_two_points(self):
-        M = gram(TensorMaternKernel(order=1, dim=1), [[0.0], [1.0]])
+        X = np.array([[0.0], [1.0]])
+        M = TensorMaternKernel(order=1, dim=1).cross(X, X)
         np.testing.assert_allclose(np.diag(M), SQRT_HALF_PI)
         assert M[0, 1] == pytest.approx(SQRT_HALF_PI * math.exp(-1.0), rel=1e-12)
         assert M[0, 1] == pytest.approx(0.461069, abs=1e-6)
@@ -68,7 +72,7 @@ class TestGram:
         rng = np.random.default_rng(0)
         X = rng.standard_normal((40, 2))
         for k in (GaussKernel(0.3, 2), PolyKernel(2, 2), TensorMaternKernel(1, 2)):
-            M = gram(k, X)
+            M = k.cross(X, X)
             np.testing.assert_array_equal(M, M.T)
             assert np.all(np.diag(M) > 0)
 
@@ -177,7 +181,7 @@ class TestSolvers:
         X = rng.uniform(-1, 1, (12, 2))
         y = rng.standard_normal(12)
         alpha = fit_single(k, X, y).alpha
-        resid = gram(k, X) @ alpha - y
+        resid = k.cross(X, X) @ alpha - y
         assert np.max(np.abs(resid)) <= 1e-7 * np.max(np.abs(y))
 
     def test_ridge_single_point(self):

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 import scipy.special as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from deepkern.gram import gram
 from deepkern.kernels import (
     DiagMixtureKernel,
     DiagScaledKernel,
@@ -147,7 +148,6 @@ class TestScalarProperties:
         for _ in range(20):
             X = rng.uniform(-1, 1, size=(rng.integers(2, 9), 2))
             M = kernel.cross(X, X)
-            M = 0.5 * (M + M.T)
             assert np.min(np.linalg.eigvalsh(M)) >= -1e-10
 
     @pytest.mark.parametrize("kernel", ALL_SCALARS)
@@ -268,7 +268,7 @@ class TestVjp:
             w = rng.standard_normal(n)
             G = kernel.grad2_cross(Z, Z)
             want = np.einsum("n,npd->pd", w, G)
-            got = kernel.vjp(Z, gram(kernel, Z), w)
+            got = kernel.vjp(Z, kernel.cross(Z, Z), w)
             assert got.shape == (n, dim)
             # relative to the sum of the absolute terms, so an entry whose
             # terms cancel (or are all exactly zero) is held to the same bound
@@ -280,12 +280,12 @@ class TestVjp:
         kernel = TensorMaternKernel(1, dim)
         Z = np.random.default_rng(dim).standard_normal((2, dim))
         Z[1, 0] = Z[0, 0]
-        got = kernel.vjp(Z, gram(kernel, Z), np.array([0.7, -1.3]))
+        got = kernel.vjp(Z, kernel.cross(Z, Z), np.array([0.7, -1.3]))
         np.testing.assert_array_equal(got[:, 0], [0.0, 0.0])
         assert np.all(got[:, 1:] != 0.0)
         # a duplicated point contributes nothing to either copy
         Zd = np.vstack([Z[:1], Z[:1]])
-        np.testing.assert_array_equal(kernel.vjp(Zd, gram(kernel, Zd), np.ones(2)), 0.0)
+        np.testing.assert_array_equal(kernel.vjp(Zd, kernel.cross(Zd, Zd), np.ones(2)), 0.0)
 
 
 class TestCrossFormulas:
@@ -427,6 +427,50 @@ class TestMatrixKernels:
     def test_rejects_mixed_dimensions(self):
         with pytest.raises(ValueError):
             DiagMixtureKernel((GaussKernel(sigma=1.0, dim=2), PolyKernel(degree=1, dim=3)))
+
+
+def _kernels_on(dim):
+    """Hypothesis strategy: any scalar family on R^dim, or a diagonal kernel built from them."""
+    scalar = st.one_of(
+        st.builds(PolyKernel, degree=st.integers(1, 3), dim=st.just(dim)),
+        st.builds(GaussKernel, sigma=st.floats(0.05, 10.0), dim=st.just(dim)),
+        st.builds(TensorMaternKernel, order=st.integers(1, 3), dim=st.just(dim)),
+    )
+    return st.one_of(
+        scalar,
+        st.builds(DiagScaledKernel, scalar=scalar,
+                  weights=st.lists(st.floats(0.1, 3.0), min_size=1, max_size=3)),
+        st.builds(DiagMixtureKernel, components=st.lists(scalar, min_size=1, max_size=3)),
+    )
+
+
+def _uses_poly(kernel):
+    scalars = getattr(kernel, "components", None) or (getattr(kernel, "scalar", kernel),)
+    return any(k.family == "poly" for k in scalars)
+
+
+class TestGramSymmetry:
+    """cross(X, X) and diag_cross(X, X) equal their transposes bit for bit (see ``kernels``).
+
+    Difference-based kernels are checked for one array and for a copy.  The
+    polynomial kernel is symmetric for one array only: with a copy, BLAS's
+    general product can round (i, j) and (j, i) apart.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_gram_equals_its_transpose(self, data):
+        dim = data.draw(st.integers(1, 5), label="dim")
+        kernel = data.draw(_kernels_on(dim), label="kernel")
+        n = data.draw(st.integers(1, 130), label="n")
+        scale = data.draw(st.sampled_from([0.1, 1.0, 3.0]), label="scale")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        X = scale * rng.standard_normal((n, dim))
+        X[-1] = X[0]   # a coincident pair, or the one point twice
+        gram = kernel.cross if hasattr(kernel, "cross") else kernel.diag_cross
+        for other in (X,) if _uses_poly(kernel) else (X, X.copy()):
+            bits = gram(X, other).view(np.uint64)
+            assert np.array_equal(bits, np.swapaxes(bits, -1, -2))
 
 
 class TestParamRoundTrip:

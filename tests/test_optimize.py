@@ -292,6 +292,22 @@ class TestMultistart:
                        BfgsConfig(restarts=3, seed=0))
 
 
+class TestBfgsConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("max_iters", 0), ("max_iters", -4), ("max_iters", 2.5), ("max_iters", float("inf")),
+        ("max_iters", float("nan")), ("grad_tol", float("nan")), ("grad_tol", float("inf")),
+        ("grad_tol", -1e-6), ("restarts", 0), ("seed", -1),
+    ])
+    def test_rejects_a_budget_that_cannot_run(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            BfgsConfig(**{field: value})
+
+    def test_smallest_budget_runs(self):
+        cfg = BfgsConfig(max_iters=1, grad_tol=0.0, restarts=1, seed=0)
+        res = bfgs_minimize(rosenbrock, rosenbrock_grad, np.array([-1.2, 1.0]), cfg)
+        assert res.iterations == 1 and not res.converged
+
+
 class TestFiniteDiff:
     def test_linear_function_exact(self):
         a = np.array([2.0, -3.0, 0.5])
