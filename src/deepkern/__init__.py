@@ -1,7 +1,6 @@
 """deepkern: two-layer (concatenated) kernel interpolation and regression."""
 
 from .deep_model import (
-    SENTINEL,
     TwoLayerModel,
     TwoLayerProblem,
     fit_two_layer,

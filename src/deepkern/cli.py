@@ -54,6 +54,7 @@ from .kernels import (
     GaussKernel,
     PolyKernel,
     TensorMaternKernel,
+    integer_field,
     matrix_from_params,
     scalar_from_params,
 )
@@ -79,7 +80,7 @@ def _build_kernels(cfg, data_dim):
     comps = [dict(c) for c in inner_cfg.get("components", [])]
     for c in comps:
         c.setdefault("dim", data_dim)
-        if int(c["dim"]) != data_dim:
+        if integer_field(c["dim"], "dim") != data_dim:
             raise ValueError(f"inner kernel dimension {c['dim']} does not match data dimension {data_dim}")
     inner_cfg["components"] = comps
     inner = matrix_from_params(inner_cfg)
@@ -96,8 +97,9 @@ def _build_kernels(cfg, data_dim):
 def _build_opt_config(cfg, seed):
     """BfgsConfig from the 'opt' block; keys it leaves out keep BfgsConfig's defaults."""
     opt = cfg.get("opt", {})
-    types = {"max_iters": int, "grad_tol": float, "restarts": int, "seed": int}
-    given = {k: typ(opt[k]) for k, typ in types.items() if k in opt}
+    given = {k: integer_field(opt[k], k) for k in ("max_iters", "restarts", "seed") if k in opt}
+    if "grad_tol" in opt:
+        given["grad_tol"] = float(opt["grad_tol"])
     return BfgsConfig(**{"seed": seed, **given})
 
 
@@ -108,7 +110,7 @@ def _build_cv_plan(cfg, seed):
         return None
     given = {k: cv[k] for k in ("lambda_grid", "mu_grid") if k in cv}   # CvPlan makes them floats
     if "folds" in cv:
-        given["folds"] = int(cv["folds"])
+        given["folds"] = integer_field(cv["folds"], "folds")
     return CvPlan(seed=seed, **given)
 
 
@@ -139,15 +141,16 @@ def _load_inputs(args):
     """Dataset, (outer, inner) kernels, seed, BfgsConfig, CV plan and (lam, mu, gamma).
 
     fit, cv and gradcheck all read every block of the config here, so a
-    config is rejected the same way by each of them.  A block of the wrong
-    JSON type (a number where an object or a list belongs, say) or an
-    infinite count raises ValueError naming the config file, as a bad model file does.
+    config is rejected the same way by each of them.  A block or a value of
+    the wrong JSON type (a number where an object or a list belongs, or a
+    string where a count belongs, say) raises ValueError naming the config
+    file, as a bad model file does.
     """
     cfg = _load_config(args.config)
     dataset = read_dataset_csv(args.data)
     try:
         outer, inner = _build_kernels(cfg, dataset.X.shape[1])
-        seed = int(cfg.get("seed", 0))
+        seed = integer_field(cfg.get("seed", 0), "seed")
         config = _build_opt_config(cfg, stream_seed(seed, "init"))
         plan = _build_cv_plan(cfg, seed)
         params = _objective_params(cfg, plan)

@@ -339,6 +339,22 @@ class DiagMixtureKernel:
 # Parameter-dict conversion (config files, model records)
 # -----------------------------
 
+def integer_field(value, key):
+    """value as an int: a JSON number with an integer value, such as 3 or 3.0.
+
+    A bool, a string or any other type raises TypeError, and a fraction or
+    a non-finite number ValueError; both name key.  Config and model files
+    read their counts, degrees, orders, dimensions and seeds through this.
+    """
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if not isinstance(value, float):
+        raise TypeError(f"{key} must be an integer, got {value!r}")
+    if not value.is_integer():   # also NaN and the infinities
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 # family -> (class, parameter key, constructor argument, its type)
 _SCALAR_PARAMS = {
     "poly": (PolyKernel, "p", "degree", int),
@@ -360,9 +376,10 @@ def scalar_to_params(kernel):
 
 def scalar_from_params(params):
     family = params.get("family")
-    dim = int(params["dim"])
+    dim = integer_field(params["dim"], "dim")
     cls, key, arg, typ = _scalar_entry(family)
-    return cls(**{arg: typ(params[key]), "dim": dim})
+    value = integer_field(params[key], key) if typ is int else typ(params[key])
+    return cls(**{arg: value, "dim": dim})
 
 
 def matrix_to_params(kernel):

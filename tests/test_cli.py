@@ -425,8 +425,21 @@ class TestExitCodes:
         {"opt": {"max_iters": float("inf")}},
         {"opt": {"grad_tol": float("nan")}},
         {"opt": {"grad_tol": -1e-6}},
+        # counts, degrees, orders, dimensions and seeds are refused, not rounded
+        {"opt": {"max_iters": 2.5}},
+        {"opt": {"max_iters": "7"}},
+        {"opt": {"restarts": True}},
+        {"lambda": None, "mu": None, "cv": {"folds": 2.7, "lambda_grid": [0.1], "mu_grid": [0.1]}},
+        {"inner": {**REG_CONFIG["inner"], "components": [{"family": "poly", "p": 2.5}]}},
+        {"inner": {**REG_CONFIG["inner"], "components": [{"family": "poly", "p": True}]}},
+        {"inner": {**REG_CONFIG["inner"], "components": [{"family": "poly", "p": 1, "dim": 2.7}]}},
+        {"kernel": {"family": "tensor_matern", "s": 1.9}},
+        {"seed": 11.5},
     ], ids=["mode-typo", "gamma-under-regression", "cv-grid-with-zero", "max-iters-zero",
-            "max-iters-negative", "max-iters-infinite", "grad-tol-nan", "grad-tol-negative"])
+            "max-iters-negative", "max-iters-infinite", "grad-tol-nan", "grad-tol-negative",
+            "max-iters-fraction", "max-iters-string", "restarts-bool", "folds-fraction",
+            "degree-fraction", "degree-bool", "dim-fraction", "matern-order-fraction",
+            "seed-fraction"])
     def test_config_that_fit_rejects_exits_2_everywhere(self, tmp_path, capsys, command, change):
         # a None value removes the key from the config
         cfg = {k: v for k, v in {**REG_CONFIG, **change}.items() if v is not None}
@@ -475,7 +488,7 @@ class TestConfigBlocks:
         assert _build_opt_config({"opt": {}}, 17) == BfgsConfig(seed=17)
 
     def test_opt_keys_are_coerced(self):
-        opt = {"max_iters": "7", "grad_tol": 1, "restarts": 3.0, "seed": "5"}
+        opt = {"max_iters": 7.0, "grad_tol": 1, "restarts": 3.0, "seed": 5}
         config = _build_opt_config({"opt": opt}, 17)
         assert config == BfgsConfig(max_iters=7, grad_tol=1.0, restarts=3, seed=5)
         assert [type(v) for v in (config.max_iters, config.grad_tol, config.restarts,
@@ -486,9 +499,10 @@ class TestConfigBlocks:
         assert _build_cv_plan({}, 17) is None
 
     def test_cv_keys_are_coerced(self):
-        plan = _build_cv_plan({"cv": {"folds": "3", "lambda_grid": [1, 2], "mu_grid": ["0.5"]}}, 4)
+        plan = _build_cv_plan({"cv": {"folds": 3.0, "lambda_grid": [1, 2], "mu_grid": ["0.5"]}}, 4)
         assert plan == CvPlan(folds=3, lambda_grid=(1.0, 2.0), mu_grid=(0.5,), seed=4)
         assert all(type(v) is float for v in plan.lambda_grid + plan.mu_grid)
+        assert type(plan.folds) is int
 
 
 class TestThreads:
@@ -533,6 +547,10 @@ BAD_MODELS = {
     "alpha_matrix": _set("alpha", [[1.0], [2.0], [3.0]]),
     "outer_dim_mismatch": _set("outer", {"family": "gauss", "sigma": 1.0, "dim": 3}),
     "bad_kernel_family": _set("outer", {"family": "cubic", "dim": 2}),
+    "degree_fraction": _set("outer", {"family": "poly", "p": 2.5, "dim": 2}),
+    "degree_bool": _set("outer", {"family": "poly", "p": True, "dim": 2}),
+    "matern_order_fraction": _set("outer", {"family": "tensor_matern", "s": 1.9, "dim": 2}),
+    "dim_fraction": _set("outer", {"family": "gauss", "sigma": 1.0, "dim": 2.5}),
     "lambda_not_a_number": _set("lambda", "small"),
 }
 

@@ -16,6 +16,8 @@ from deepkern.gram import (
 from deepkern.kernels import GaussKernel, PolyKernel, TensorMaternKernel
 from deepkern.single_layer import fit_single
 
+from fresh_python import fresh_python
+
 SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 
 
@@ -136,6 +138,55 @@ class TestSpdSolve:
         with pytest.raises(SingularMatrixError, match="1e-06"):
             spd_solve(np.array([[1.0, 0.0], [0.0, -1.0]]), np.array([1.0, 1.0]))
         assert len(attempts) == len(JITTERS) == 8
+
+    def test_direct_lapack_load_gives_scipy_linalg_bits(self, tmp_path):
+        """_lapack's dpotrf/dpotrs against scipy.linalg.lapack's, loaded after them in one process.
+
+        Each matrix climbs the jitter ladder as spd_factor does, through both
+        pairs: an SPD matrix factors at once, a rank-one one needs a rung,
+        and an indefinite one fails (info > 0) on every rung.
+        """
+        out = str(tmp_path / "runs.npz")
+        code = f"""
+import sys
+import numpy as np
+from deepkern import gram
+
+rng = np.random.default_rng(11)
+A = rng.standard_normal((5, 5))
+v = rng.standard_normal(5)
+matrices = [A @ A.T + 5 * np.eye(5), np.outer(v, v), np.diag([1.0, 2.0, -1.0, 3.0, 1.0])]
+b = rng.standard_normal(5)
+
+def ladder(dpotrf, dpotrs):
+    runs = []
+    for M in matrices:
+        for jitter in gram.JITTERS:
+            factor, info = dpotrf(gram.shift_diagonal(M, jitter), lower=1, clean=0)
+            runs += [factor, np.array([jitter, info])]
+            if info == 0:
+                runs.append(dpotrs(factor, b, lower=1)[0])
+                break
+    return runs
+
+direct = ladder(*gram._lapack())
+assert "scipy.linalg" not in sys.modules
+from scipy.linalg import lapack
+np.savez({out!r}, *direct, *ladder(lapack.dpotrf, lapack.dpotrs))
+"""
+        fresh_python(code)
+        with np.load(out) as runs:
+            arrays = [runs[f"arr_{i}"] for i in range(len(runs.files))]
+        direct, scipy_linalg = arrays[:len(arrays) // 2], arrays[len(arrays) // 2:]
+        # (jitter > 0, info > 0) per rung: the SPD matrix factors on the first,
+        # the rank-one one on the second, the indefinite one on none
+        rungs = [(int(a[0] > 0), int(a[1] > 0)) for a in direct if a.shape == (2,)]
+        assert rungs[:3] == [(0, 0), (0, 1), (1, 0)]
+        assert rungs[3:] == [(0, 1)] + [(1, 1)] * (len(JITTERS) - 1)
+        assert len(direct) == len(scipy_linalg)
+        for d, s in zip(direct, scipy_linalg):
+            assert d.dtype == s.dtype and d.shape == s.shape
+            assert d.tobytes() == s.tobytes()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("where", ["matrix", "rhs"])

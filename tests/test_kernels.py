@@ -16,6 +16,7 @@ from deepkern.kernels import (
     TensorMaternKernel,
     _matern_polys,
     bessel_k_half,
+    integer_field,
     matrix_from_params,
     matrix_to_params,
     scalar_from_params,
@@ -477,6 +478,18 @@ class TestParamRoundTrip:
     @pytest.mark.parametrize("kernel", ALL_SCALARS)
     def test_scalar_round_trip(self, kernel):
         assert scalar_from_params(scalar_to_params(kernel)) == kernel
+
+    @pytest.mark.parametrize("value", [3, 3.0, np.int64(3)])
+    def test_integer_field_takes_an_integer_valued_number(self, value):
+        assert type(integer_field(value, "p")) is int and integer_field(value, "p") == 3
+
+    @pytest.mark.parametrize("value, error", [
+        (True, TypeError), ("3", TypeError), (None, TypeError), ([3], TypeError),
+        (2.5, ValueError), (math.nan, ValueError), (math.inf, ValueError), (-math.inf, ValueError),
+    ])
+    def test_integer_field_names_the_key_of_what_it_refuses(self, value, error):
+        with pytest.raises(error, match="^restarts must be an integer"):
+            integer_field(value, "restarts")
 
     def test_matrix_round_trip(self):
         kernels = [

@@ -1,11 +1,10 @@
 """Package layout: every submodule is reachable under its own name, and what importing it loads."""
 
-import os
-import subprocess
-import sys
 import types
 
 import numpy as np
+
+from fresh_python import fresh_python
 
 
 def test_submodules_import_as_modules():
@@ -22,25 +21,19 @@ def test_submodules_import_as_modules():
         assert isinstance(module, types.ModuleType), module
 
 
-def _fresh_python(code):
-    """stdout of code run in a new interpreter that imports this checkout's deepkern."""
-    import deepkern
-
-    src = os.path.dirname(os.path.dirname(os.path.abspath(deepkern.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          check=True)
-    return proc.stdout
-
-
 def test_import_leaves_scipy_optimize_out():
     """The line search is hand-written because scipy.optimize costs about 20 MB of peak RSS."""
     code = "import sys, deepkern, deepkern.cli; print('scipy.optimize' in sys.modules)"
-    assert _fresh_python(code).strip() == "False"
+    assert fresh_python(code).strip() == "False"
 
 
 def test_scipy_loads_on_the_first_solve(tmp_path):
-    """predict solves nothing, so it leaves scipy out (about 28 MB of peak RSS); a fit loads it."""
+    """predict solves nothing, so it leaves scipy out; a fit loads scipy but not scipy.linalg.
+
+    The first solve loads the top-level scipy package (0.9 MB of peak RSS)
+    and its _flapack extension (2.5 MB); importing the scipy.linalg package
+    it skips would add 26 MB more.
+    """
     from deepkern.deep_model import TwoLayerModel, save_model
     from deepkern.kernels import DiagScaledKernel, GaussKernel, PolyKernel
 
@@ -65,5 +58,6 @@ X = np.array([[0.0, 0.0], [0.5, -0.5], [-0.25, 0.75]])
 inner = DiagScaledKernel(PolyKernel(1, 2), weights=(1.0, 1.0))
 fit_two_layer(X, np.ones(3), inner, GaussKernel(1.0, 2), config=BfgsConfig(restarts=1, max_iters=2))
 print("scipy" in sys.modules)
+print("scipy.linalg" in sys.modules)
 """
-    assert _fresh_python(code).split() == ["False", "True"]
+    assert fresh_python(code).split() == ["False", "True", "False"]
