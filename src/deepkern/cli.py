@@ -11,7 +11,9 @@ thread count; between thread counts results differ in about the 10th digit.
 place, ``_load_inputs``, so each rejects what the others reject, and
 ``gradcheck`` checks the very (f, g) pair that ``fit`` minimizes, at
 the config's mode, (lambda, mu) and gamma; where ``fit`` would choose
-(lambda, mu) by cross-validation, it checks at lambda = mu = 1.
+(lambda, mu) by cross-validation, it checks at lambda = mu = 1.  The input
+rules live in ``deep_model`` (the (lambda, mu, gamma) rule, the layer shapes)
+and ``kernels`` (``integer_field`` and ``real_field`` read every number).
 """
 
 import argparse
@@ -56,6 +58,7 @@ from .kernels import (
     TensorMaternKernel,
     integer_field,
     matrix_from_params,
+    real_field,
     scalar_from_params,
 )
 from .optimize import BfgsConfig, OptimizationError, grad_check
@@ -73,24 +76,13 @@ def _load_config(path):
 
 
 def _build_kernels(cfg, data_dim):
-    """Outer scalar kernel and inner matrix kernel from the config blocks."""
+    """Outer and inner kernels from the config blocks; ``dim`` defaults to the dimension each layer reads."""
     if "kernel" not in cfg or "inner" not in cfg:
         raise ValueError("config needs 'kernel' (outer) and 'inner' blocks")
     inner_cfg = dict(cfg["inner"])
-    comps = [dict(c) for c in inner_cfg.get("components", [])]
-    for c in comps:
-        c.setdefault("dim", data_dim)
-        if integer_field(c["dim"], "dim") != data_dim:
-            raise ValueError(f"inner kernel dimension {c['dim']} does not match data dimension {data_dim}")
-    inner_cfg["components"] = comps
+    inner_cfg["components"] = [{"dim": data_dim, **c} for c in inner_cfg.get("components", [])]
     inner = matrix_from_params(inner_cfg)
-    outer_cfg = dict(cfg["kernel"])
-    outer_cfg.setdefault("dim", inner.out_dim)
-    outer = scalar_from_params(outer_cfg)
-    if outer.dim != inner.out_dim:
-        raise ValueError(
-            f"outer kernel dimension {outer.dim} does not match inner output dimension {inner.out_dim}"
-        )
+    outer = scalar_from_params({"dim": inner.out_dim, **cfg["kernel"]})
     return outer, inner
 
 
@@ -99,7 +91,7 @@ def _build_opt_config(cfg, seed):
     opt = cfg.get("opt", {})
     given = {k: integer_field(opt[k], k) for k in ("max_iters", "restarts", "seed") if k in opt}
     if "grad_tol" in opt:
-        given["grad_tol"] = float(opt["grad_tol"])
+        given["grad_tol"] = real_field(opt["grad_tol"], "grad_tol")
     return BfgsConfig(**{"seed": seed, **given})
 
 
@@ -108,7 +100,7 @@ def _build_cv_plan(cfg, seed):
     cv = cfg.get("cv")
     if cv is None:
         return None
-    given = {k: cv[k] for k in ("lambda_grid", "mu_grid") if k in cv}   # CvPlan makes them floats
+    given = {k: cv[k] for k in ("lambda_grid", "mu_grid") if k in cv}   # CvPlan reads them
     if "folds" in cv:
         given["folds"] = integer_field(cv["folds"], "folds")
     return CvPlan(seed=seed, **given)
@@ -117,34 +109,40 @@ def _build_cv_plan(cfg, seed):
 def _objective_params(cfg, plan):
     """(lam, mu, gamma) of the config's mode, as fit reads them.
 
-    Interpolation is lam = mu = 0.  A regression takes 'lambda' and 'mu'
-    from the config, or else leaves them to cross-validation over the 'cv'
-    block's plan: then lam and mu are None.  Every pair a regression can
-    use must be positive, since lam = mu = 0 would fit Int.
+    Interpolation is lam = mu = 0; ``objective_pair`` checks its gamma.  A
+    regression takes 'lambda' and 'mu' from the config, or else leaves them
+    to cross-validation over the 'cv' block's plan: then lam and mu are
+    None.  ``check_regularization`` checks every (lam, mu) a regression can
+    use, with its gamma, before any fit.
     """
     mode = cfg.get("mode", "interpolate")
-    gamma = float(cfg.get("gamma", 0.0))
+    gamma = real_field(cfg.get("gamma", 0.0), "gamma")
     if mode == "interpolate":
         return 0.0, 0.0, gamma
     if mode != "regress":
         raise ValueError(f"unknown mode {mode!r}")
     if "lambda" in cfg and "mu" in cfg:
-        lam, mu = float(cfg["lambda"]), float(cfg["mu"])
-        check_regularization(lam, mu)
+        lam, mu = real_field(cfg["lambda"], "lambda"), real_field(cfg["mu"], "mu")
+        check_regularization(lam, mu, gamma)
         return lam, mu, gamma
     if plan is None:
         raise ValueError("regression needs 'lambda' and 'mu', or a 'cv' block")
+    for lam in plan.lambda_grid:
+        for mu in plan.mu_grid:
+            check_regularization(lam, mu, gamma)
     return None, None, gamma
 
 
 def _load_inputs(args):
     """Dataset, (outer, inner) kernels, seed, BfgsConfig, CV plan and (lam, mu, gamma).
 
-    fit, cv and gradcheck all read every block of the config here, so a
-    config is rejected the same way by each of them.  A block or a value of
+    fit, cv and gradcheck all read every block of the config here, so each
+    rejects a config the others reject, before any fit; only the layer
+    shapes and an interpolation's gamma (never read by ``cv``, whose fits are
+    regressions) wait for the problem and objective to be built.  A value of
     the wrong JSON type (a number where an object or a list belongs, or a
-    string where a count belongs, say) raises ValueError naming the config
-    file, as a bad model file does.
+    string or a bool where a number belongs) raises ValueError naming the
+    config file, as a bad model file does.
     """
     cfg = _load_config(args.config)
     dataset = read_dataset_csv(args.data)

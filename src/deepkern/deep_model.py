@@ -33,7 +33,7 @@ objective: the (f, g) pair that a fit minimizes and that ``deepkern
 gradcheck`` checks.  f runs stage one and g runs stage two, only at points
 where the line search asks for the gradient.  Building the pair checks the
 mode rule, so fit and gradcheck get it from one place: lam = mu = 0 is
-Int, anything else needs lam > 0, mu > 0 and no penalty.
+Int with a finite gamma >= 0; anything else is Reg (``check_regularization``).
 ``objective_reg`` is stage one's Reg value alone, for checking a reported
 objective.  A fitted model's alpha is stage one's alpha at the returned c.
 
@@ -66,7 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gram import SingularMatrixError, by_point_blocks, shift_diagonal, spd_solve
-from .kernels import matrix_from_params, matrix_to_params, scalar_from_params, scalar_to_params
+from .kernels import matrix_from_params, matrix_to_params, real_field, scalar_from_params, scalar_to_params
 from .single_layer import SingleLayerModel, predict_single
 
 SENTINEL = math.inf   # the value of every infeasible point
@@ -76,6 +76,15 @@ RANGE_CUTOFF = 1e-12  # range_basis keeps eigenvalues above this times the block
 # -----------------------------
 # Problem context
 # -----------------------------
+
+def check_layer_shapes(X, inner, outer):
+    """The layer-shape rule: X is (n, inner.dim) with n >= 1, and outer.dim = inner.out_dim."""
+    if X.ndim != 2 or len(X) == 0 or X.shape[1] != inner.dim:
+        raise ValueError(f"X has shape {X.shape}, expected (n, {inner.dim}) with n >= 1")
+    if outer.dim != inner.out_dim:
+        raise ValueError(f"outer kernel dimension {outer.dim} does not match "
+                         f"inner output dimension {inner.out_dim}")
+
 
 class TwoLayerProblem:
     """Immutable bundle of data, kernels and the precomputed inner Gram stack.
@@ -89,10 +98,7 @@ class TwoLayerProblem:
         self.y = np.asarray(y, dtype=float)
         if len(self.y) != len(self.X):
             raise ValueError("X and y lengths differ")
-        if inner.dim != self.X.shape[1]:
-            raise ValueError("inner kernel dimension does not match the data")
-        if outer.dim != inner.out_dim:
-            raise ValueError("outer kernel dimension must equal the inner output dimension")
+        check_layer_shapes(self.X, inner, outer)
         self.inner = inner
         self.outer = outer
         self.centers = self.X if extra_centers is None else np.vstack([self.X, extra_centers])
@@ -151,10 +157,12 @@ def _penalty_terms(Z, gamma):
 # Objective core (Int and Reg)
 # -----------------------------
 
-def check_regularization(lam, mu):
-    """The regression objective needs lam > 0 and mu > 0; raise ValueError otherwise."""
-    if not (lam > 0.0 and mu > 0.0):
-        raise ValueError(f"regression requires lam > 0 and mu > 0, got lam={lam!r}, mu={mu!r}")
+def check_regularization(lam, mu, gamma=0.0):
+    """The regression rule: lam and mu finite and > 0, and gamma = 0; raise ValueError otherwise."""
+    if not (0.0 < lam < math.inf and 0.0 < mu < math.inf):   # also rejects NaN
+        raise ValueError(f"regression requires finite lam > 0 and mu > 0, got lambda={lam!r}, mu={mu!r}")
+    if gamma != 0.0:
+        raise ValueError(f"regression requires gamma = 0 (no separation penalty), got gamma={gamma!r}")
 
 
 def _objective_value(c, prob, lam, mu, gamma):
@@ -218,13 +226,13 @@ def objective_pair(prob, lam, mu, gamma):
     restart because restarts run one after another in one thread; the
     pair is not safe to call from two threads at once.
 
-    lam = mu = 0 selects Int; anything else must be a Reg pair with
-    lam, mu > 0 and gamma = 0, checked here before any restart runs.
+    lam = mu = 0 selects Int, with a finite gamma >= 0; anything else must
+    pass ``check_regularization``.  Both are checked before any restart runs.
     """
     if not (lam == 0.0 and mu == 0.0):
-        check_regularization(lam, mu)
-        if gamma != 0.0:
-            raise ValueError("the separation penalty is an interpolation-mode device")
+        check_regularization(lam, mu, gamma)
+    elif not 0.0 <= gamma < math.inf:   # also rejects NaN
+        raise ValueError(f"interpolation requires a finite gamma >= 0, got gamma={gamma!r}")
     slot = {"key": None}
 
     def at(c):
@@ -279,7 +287,7 @@ def fit_two_layer(X, y, inner, outer, lam=0.0, mu=0.0, gamma=0.0,
                   config=None, threads=1):
     """Fit a two-layer model by multistart BFGS on (Int) or (Reg).
 
-    lam = mu = 0 selects interpolation; otherwise both must be positive.
+    lam = mu = 0 selects interpolation; ``objective_pair`` checks the parameters.
     BFGS runs on the range part of c (see ``range_basis``).  ``threads`` is
     accepted and unused: restarts run in the calling thread.
     Returns (model, optimization_result).
@@ -344,29 +352,19 @@ def predict_two_layer(model, points):
 # MLMKL equivalence
 # -----------------------------
 
-def radial_profile(kernel):
-    """The profile a with kernel(z1, z2) = a(|z1 - z2|); errors if not radial."""
-    if kernel.family == "gauss":
-        return lambda t: float(np.exp(-float(t) ** 2 / (2.0 * kernel.sigma**2)))
-    if kernel.family == "tensor_matern" and kernel.dim == 1:
-        return lambda t: float(kernel._factors(np.abs(float(t))))
-    raise ValueError(f"kernel {kernel!r} is not of radial form")
-
-
 def mlmkl_equivalence_check(outer, inner_scalar, X, nu, x, y):
     """Both sides of the MLMKL identity for radial outer kernels, d2 = 1.
 
     lhs = a(|sum_i nu_i (K2(x_i, x) - K2(x_i, y))|)  — the chained-MKL form
     rhs = K1(sum_i nu_i K2(x_i, x), sum_i nu_i K2(x_i, y))  — the composed kernel
     """
-    if outer.dim != 1:
-        raise ValueError("the identity is stated for a one-dimensional outer domain")
-    profile = radial_profile(outer)
+    if outer.dim != 1 or outer.family not in ("gauss", "tensor_matern"):
+        raise ValueError(f"the identity is stated for a radial outer kernel on R, got {outer!r}")
     X = np.atleast_2d(np.asarray(X, dtype=float))
     nu = np.asarray(nu, dtype=float)
     kx = inner_scalar.cross(X, np.asarray(x, dtype=float)[None, :])[:, 0]
     ky = inner_scalar.cross(X, np.asarray(y, dtype=float)[None, :])[:, 0]
-    lhs = profile(abs(float(nu @ (kx - ky))))
+    lhs = outer(np.zeros(1), np.array([abs(float(nu @ (kx - ky)))]))   # a(t) = K(0, t)
     rhs = outer(np.array([float(nu @ kx)]), np.array([float(nu @ ky)]))
     return lhs, rhs
 
@@ -419,16 +417,12 @@ def load_model(path):
         outer = scalar_from_params(rec["outer"])
         inner = matrix_from_params(rec["inner"])
         X, c, alpha = (np.array(rec[k], dtype=float) for k in ("X", "c", "alpha"))
-        lam, mu, gamma, objective = (float(rec[k]) for k in ("lambda", "mu", "gamma", "objective_value"))
+        lam, mu, gamma, objective = (real_field(rec[k], k) for k in ("lambda", "mu", "gamma", "objective_value"))
+        check_layer_shapes(X, inner, outer)
     except KeyError as e:
         raise ValueError(f"{path}: missing key {e}") from None
     except (TypeError, AttributeError, ValueError) as e:
         raise ValueError(f"{path}: malformed model record ({e})") from None
-    if outer.dim != inner.out_dim:
-        raise ValueError(f"{path}: outer kernel dimension {outer.dim} does not match "
-                         f"inner output dimension {inner.out_dim}")
-    if X.ndim != 2 or len(X) == 0 or X.shape[1] != inner.dim:
-        raise ValueError(f"{path}: X has shape {X.shape}, expected (n, {inner.dim}) with n >= 1")
     for name, arr, shape in (("c", c, (len(X), inner.out_dim)), ("alpha", alpha, (len(X),))):
         if arr.shape != shape:
             raise ValueError(f"{path}: {name} has shape {arr.shape}, expected {shape}")

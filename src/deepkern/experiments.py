@@ -23,6 +23,7 @@ import numpy as np
 
 from .deep_model import fit_two_layer, predict_two_layer
 from .gram import by_point_blocks
+from .kernels import real_field
 from .optimize import BfgsConfig
 from .single_layer import fit_single, predict_single
 
@@ -137,7 +138,7 @@ class CvPlan:
         if self.folds < 2:
             raise ValueError("need at least two folds")
         for name in ("lambda_grid", "mu_grid"):
-            grid = tuple(float(v) for v in getattr(self, name))
+            grid = tuple(real_field(v, name) for v in getattr(self, name))
             if not (grid and all(0.0 < v < math.inf for v in grid)):   # also rejects NaN
                 raise ValueError(f"{name} must be nonempty, finite and positive, got {grid!r}")
             object.__setattr__(self, name, grid)

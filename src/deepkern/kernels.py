@@ -145,8 +145,8 @@ class GaussKernel:
     dim: int
 
     def __post_init__(self):
-        if not (self.sigma > 0.0):
-            raise ValueError("sigma must be positive")
+        if not (0.0 < self.sigma < math.inf):   # also rejects NaN
+            raise ValueError(f"sigma must be finite and positive, got {self.sigma!r}")
         if self.dim < 1:
             raise ValueError("dimension must be positive")
 
@@ -281,8 +281,8 @@ class DiagScaledKernel:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1 or w.size < 1 or np.any(w <= 0.0):
-            raise ValueError("weights must be a vector of positive reals")
+        if w.ndim != 1 or w.size < 1 or not np.all((w > 0.0) & (w < np.inf)):   # also NaN
+            raise ValueError("weights must be a vector of finite positive reals")
         object.__setattr__(self, "weights", tuple(float(v) for v in w))
 
     family = "diag_scaled"
@@ -355,11 +355,18 @@ def integer_field(value, key):
     return int(value)
 
 
-# family -> (class, parameter key, constructor argument, its type)
+def real_field(value, key):
+    """value as a float: a JSON number; a bool, a string or any other type raises TypeError naming key."""
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        return float(value)
+    raise TypeError(f"{key} must be a number, got {value!r}")
+
+
+# family -> (class, parameter key, constructor argument, its reader)
 _SCALAR_PARAMS = {
-    "poly": (PolyKernel, "p", "degree", int),
-    "gauss": (GaussKernel, "sigma", "sigma", float),
-    "tensor_matern": (TensorMaternKernel, "s", "order", int),
+    "poly": (PolyKernel, "p", "degree", integer_field),
+    "gauss": (GaussKernel, "sigma", "sigma", real_field),
+    "tensor_matern": (TensorMaternKernel, "s", "order", integer_field),
 }
 
 
@@ -377,9 +384,8 @@ def scalar_to_params(kernel):
 def scalar_from_params(params):
     family = params.get("family")
     dim = integer_field(params["dim"], "dim")
-    cls, key, arg, typ = _scalar_entry(family)
-    value = integer_field(params[key], key) if typ is int else typ(params[key])
-    return cls(**{arg: value, "dim": dim})
+    cls, key, arg, read = _scalar_entry(family)
+    return cls(**{arg: read(params[key], key), "dim": dim})
 
 
 def matrix_to_params(kernel):
@@ -403,7 +409,7 @@ def matrix_from_params(params):
     if family == "diag_scaled":
         if len(comps) != 1:
             raise ValueError("diag_scaled takes exactly one scalar component")
-        return DiagScaledKernel(scalar=comps[0], weights=tuple(float(w) for w in params["weights"]))
+        return DiagScaledKernel(comps[0], tuple(real_field(w, "weights") for w in params["weights"]))
     if family == "diag_mixture":
         return DiagMixtureKernel(components=tuple(comps))
     raise ValueError(f"unknown matrix kernel family {family!r}")

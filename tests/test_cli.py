@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import deepkern
-from deepkern import experiments
+from deepkern import cli, experiments, optimize
 from deepkern.cli import _build_cv_plan, _build_opt_config, main
 from deepkern.deep_model import TwoLayerModel, load_model, predict_two_layer, save_model
 from deepkern.experiments import CvPlan, SamplingPlan, sample_dataset
@@ -416,39 +417,81 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["fit", "gradcheck"])
-    @pytest.mark.parametrize("change", [
-        {"mode": "regres"},
-        {"gamma": 0.5},
-        {"lambda": None, "mu": None, "cv": {"folds": 2, "lambda_grid": [0.1, 0.0]}},
-        {"opt": {"max_iters": 0}},
-        {"opt": {"max_iters": -4}},
-        {"opt": {"max_iters": float("inf")}},
-        {"opt": {"grad_tol": float("nan")}},
-        {"opt": {"grad_tol": -1e-6}},
+    @pytest.mark.parametrize("change, key", [
+        ({"mode": "regres"}, "mode"),
+        ({"gamma": 0.5}, "gamma"),
+        ({"lambda": None, "mu": None, "cv": {"folds": 2, "lambda_grid": [0.1, 0.0]}}, "lambda_grid"),
+        ({"opt": {"max_iters": 0}}, "max_iters"),
+        ({"opt": {"max_iters": -4}}, "max_iters"),
+        ({"opt": {"max_iters": float("inf")}}, "max_iters"),
+        ({"opt": {"grad_tol": float("nan")}}, "grad_tol"),
+        ({"opt": {"grad_tol": -1e-6}}, "grad_tol"),
         # counts, degrees, orders, dimensions and seeds are refused, not rounded
-        {"opt": {"max_iters": 2.5}},
-        {"opt": {"max_iters": "7"}},
-        {"opt": {"restarts": True}},
-        {"lambda": None, "mu": None, "cv": {"folds": 2.7, "lambda_grid": [0.1], "mu_grid": [0.1]}},
-        {"inner": {**REG_CONFIG["inner"], "components": [{"family": "poly", "p": 2.5}]}},
-        {"inner": {**REG_CONFIG["inner"], "components": [{"family": "poly", "p": True}]}},
-        {"inner": {**REG_CONFIG["inner"], "components": [{"family": "poly", "p": 1, "dim": 2.7}]}},
-        {"kernel": {"family": "tensor_matern", "s": 1.9}},
-        {"seed": 11.5},
+        ({"opt": {"max_iters": 2.5}}, "max_iters"),
+        ({"opt": {"max_iters": "7"}}, "max_iters"),
+        ({"opt": {"restarts": True}}, "restarts"),
+        ({"lambda": None, "mu": None, "cv": {"folds": 2.7, "lambda_grid": [0.1], "mu_grid": [0.1]}},
+         "folds"),
+        ({"inner": {**REG_CONFIG["inner"], "components": [{"family": "poly", "p": 2.5}]}}, "p"),
+        ({"inner": {**REG_CONFIG["inner"], "components": [{"family": "poly", "p": True}]}}, "p"),
+        ({"inner": {**REG_CONFIG["inner"], "components": [{"family": "poly", "p": 1, "dim": 2.7}]}},
+         "dim"),
+        ({"kernel": {"family": "tensor_matern", "s": 1.9}}, "s"),
+        ({"seed": 11.5}, "seed"),
+        # real numbers are JSON numbers, and each is range-checked before any fit
+        ({"opt": {"grad_tol": True}}, "grad_tol"),
+        ({"lambda": "0.01"}, "lambda"),
+        ({"lambda": float("inf")}, "lambda"),
+        ({"mode": "interpolate", "gamma": True}, "gamma"),
+        ({"mode": "interpolate", "gamma": -0.5}, "gamma"),
+        ({"mode": "interpolate", "gamma": float("inf")}, "gamma"),
+        ({"kernel": {"family": "gauss", "sigma": True}}, "sigma"),
+        ({"kernel": {"family": "gauss", "sigma": float("inf")}}, "sigma"),
+        ({"inner": {**REG_CONFIG["inner"], "weights": [True, "2"]}}, "weights"),
+        ({"inner": {**REG_CONFIG["inner"], "weights": [float("nan"), 1.0]}}, "weights"),
     ], ids=["mode-typo", "gamma-under-regression", "cv-grid-with-zero", "max-iters-zero",
             "max-iters-negative", "max-iters-infinite", "grad-tol-nan", "grad-tol-negative",
             "max-iters-fraction", "max-iters-string", "restarts-bool", "folds-fraction",
             "degree-fraction", "degree-bool", "dim-fraction", "matern-order-fraction",
-            "seed-fraction"])
-    def test_config_that_fit_rejects_exits_2_everywhere(self, tmp_path, capsys, command, change):
+            "seed-fraction", "grad-tol-bool", "lambda-string", "lambda-infinite",
+            "gamma-bool", "gamma-negative", "gamma-infinite", "sigma-bool", "sigma-infinite",
+            "weights-bool-and-string", "weights-nan"])
+    def test_config_that_fit_rejects_exits_2_everywhere(self, tmp_path, capsys, monkeypatch,
+                                                        command, change, key):
+        runs = []   # no restart and no gradient check may start
+        monkeypatch.setattr(optimize, "multistart", lambda *a, **k: runs.append(a))
+        monkeypatch.setattr(cli, "grad_check", lambda *a, **k: runs.append(a))
         # a None value removes the key from the config
         cfg = {k: v for k, v in {**REG_CONFIG, **change}.items() if v is not None}
+        data, _ = write_data(tmp_path, n=6, seed=9)
+        out = tmp_path / "m.json"
+        argv = [command, "--config", write_config(tmp_path, cfg), "--data", data]
+        if command == "fit":
+            argv += ["--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert re.search(rf"\b{key}\b", captured.err), captured.err
+        # no model file either: at the parent, "sigma": Infinity fitted and left a truncated one
+        assert captured.out == "" and runs == [] and not out.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "cv", "gradcheck"])
+    def test_penalty_with_a_cv_grid_is_refused_before_any_fit(self, tmp_path, capsys,
+                                                              monkeypatch, command):
+        # a regression with a separation penalty: every pair of the grid is refused up front
+        calls = []
+        monkeypatch.setattr(experiments, "fit_two_layer", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(cli, "fit_two_layer", lambda *a, **k: calls.append(a))
+        cfg = {k: v for k, v in REG_CONFIG.items() if k not in ("lambda", "mu")}
+        cfg.update(gamma=0.5, cv={"folds": 2, "lambda_grid": [0.1, 1.0], "mu_grid": [0.1]})
         data, _ = write_data(tmp_path, n=6, seed=9)
         argv = [command, "--config", write_config(tmp_path, cfg), "--data", data]
         if command == "fit":
             argv += ["--out", str(tmp_path / "m.json")]
         assert main(argv) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        captured = capsys.readouterr()
+        assert "regression requires gamma = 0" in captured.err
+        assert captured.out == "" and calls == []
 
     @pytest.mark.parametrize("command", ["fit", "cv", "gradcheck"])
     @pytest.mark.parametrize("change", [
@@ -499,7 +542,7 @@ class TestConfigBlocks:
         assert _build_cv_plan({}, 17) is None
 
     def test_cv_keys_are_coerced(self):
-        plan = _build_cv_plan({"cv": {"folds": 3.0, "lambda_grid": [1, 2], "mu_grid": ["0.5"]}}, 4)
+        plan = _build_cv_plan({"cv": {"folds": 3.0, "lambda_grid": [1, 2], "mu_grid": [0.5]}}, 4)
         assert plan == CvPlan(folds=3, lambda_grid=(1.0, 2.0), mu_grid=(0.5,), seed=4)
         assert all(type(v) is float for v in plan.lambda_grid + plan.mu_grid)
         assert type(plan.folds) is int
@@ -552,6 +595,10 @@ BAD_MODELS = {
     "matern_order_fraction": _set("outer", {"family": "tensor_matern", "s": 1.9, "dim": 2}),
     "dim_fraction": _set("outer", {"family": "gauss", "sigma": 1.0, "dim": 2.5}),
     "lambda_not_a_number": _set("lambda", "small"),
+    # real scalars are JSON numbers, as in a config
+    "lambda_bool": _set("lambda", True),
+    "gamma_string": _set("gamma", "0"),
+    "sigma_bool": _set("outer", {"family": "gauss", "sigma": True, "dim": 2}),
 }
 
 BAD_MODEL_TEXTS = {

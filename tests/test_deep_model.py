@@ -17,6 +17,8 @@ from deepkern.deep_model import (
     TwoLayerProblem,
     _objective_grad,
     _objective_value,
+    check_layer_shapes,
+    check_regularization,
     fit_two_layer,
     load_model,
     mlmkl_equivalence_check,
@@ -600,13 +602,44 @@ class TestFitTwoLayer:
         move = result.x - x0
         assert np.linalg.norm(move - U @ (U.T @ move)) <= 1e-12 * np.linalg.norm(move)
 
-    @pytest.mark.parametrize("lam, mu", [(1.0, 0.0), (0.0, 1.0), (-1.0, 1.0), (1.0, float("nan"))])
+    @pytest.mark.parametrize("lam, mu", [(1.0, 0.0), (0.0, 1.0), (-1.0, 1.0), (1.0, float("nan")),
+                                         (math.inf, 1.0), (1.0, math.inf)])
     def test_bad_regularization_is_a_config_error(self, lam, mu):
         rng = np.random.default_rng(63)
         X = rng.uniform(-1, 1, (4, 2))
         with pytest.raises(ValueError, match="lam > 0 and mu > 0"):
             fit_two_layer(X, rng.standard_normal(4), POLY1, GAUSS_OUT, lam=lam, mu=mu,
                           config=BfgsConfig(restarts=2, max_iters=5))
+
+
+class TestInputRules:
+    """The (lam, mu, gamma) rule and the layer-shape rule, each raised from one function."""
+
+    @pytest.mark.parametrize("gamma", [0.5, -0.5, math.inf, math.nan])
+    def test_regression_refuses_any_penalty(self, gamma):
+        with pytest.raises(ValueError, match="regression requires gamma = 0"):
+            check_regularization(0.1, 0.1, gamma)
+        with pytest.raises(ValueError, match="regression requires gamma = 0"):
+            objective_pair(small_problem(), 0.1, 0.1, gamma)
+
+    @pytest.mark.parametrize("gamma", [-0.5, math.inf, math.nan])
+    def test_interpolation_needs_a_finite_nonnegative_penalty(self, gamma):
+        with pytest.raises(ValueError, match="interpolation requires a finite gamma >= 0"):
+            objective_pair(small_problem(), 0.0, 0.0, gamma)
+
+    @pytest.mark.parametrize("X, inner, outer, message", [
+        (np.zeros((3, 3)), POLY1, GAUSS_OUT, r"X has shape \(3, 3\), expected \(n, 2\)"),
+        (np.zeros((0, 2)), POLY1, GAUSS_OUT, r"X has shape \(0, 2\)"),
+        (np.zeros(2), POLY1, GAUSS_OUT, r"X has shape \(2,\)"),
+        (np.zeros((3, 2)), POLY1, GaussKernel(1.0, 3),
+         "outer kernel dimension 3 does not match inner output dimension 2"),
+    ])
+    def test_layer_shapes(self, X, inner, outer, message):
+        with pytest.raises(ValueError, match=message):
+            check_layer_shapes(X, inner, outer)
+        if X.ndim == 2:   # the problem checks the same rule before it builds its Gram stack
+            with pytest.raises(ValueError, match=message):
+                TwoLayerProblem(X, np.zeros(len(X)), inner, outer)
 
 
 class _CountingGauss(GaussKernel):

@@ -19,6 +19,7 @@ from deepkern.kernels import (
     integer_field,
     matrix_from_params,
     matrix_to_params,
+    real_field,
     scalar_from_params,
     scalar_to_params,
 )
@@ -123,6 +124,11 @@ class TestScalarValues:
             PolyKernel(degree=0, dim=2)
         with pytest.raises(ValueError):
             TensorMaternKernel(order=0, dim=2)
+
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan, -1.0])
+    def test_gauss_refuses_a_nonfinite_or_negative_sigma(self, sigma):
+        with pytest.raises(ValueError, match="^sigma must be finite and positive"):
+            GaussKernel(sigma=sigma, dim=2)
 
 
 ALL_SCALARS = [
@@ -425,6 +431,11 @@ class TestMatrixKernels:
         with pytest.raises(ValueError):
             DiagScaledKernel(GaussKernel(sigma=1.0, dim=2), weights=(1.0, -1.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_nonfinite_weights(self, bad):
+        with pytest.raises(ValueError, match="^weights must be"):
+            DiagScaledKernel(GaussKernel(sigma=1.0, dim=2), weights=(bad, 1.0))
+
     def test_rejects_mixed_dimensions(self):
         with pytest.raises(ValueError):
             DiagMixtureKernel((GaussKernel(sigma=1.0, dim=2), PolyKernel(degree=1, dim=3)))
@@ -490,6 +501,21 @@ class TestParamRoundTrip:
     def test_integer_field_names_the_key_of_what_it_refuses(self, value, error):
         with pytest.raises(error, match="^restarts must be an integer"):
             integer_field(value, "restarts")
+
+    @pytest.mark.parametrize("value, want", [
+        (3, 3.0), (0.25, 0.25), (np.int64(3), 3.0), (np.float32(0.5), 0.5), (-2, -2.0),
+        (math.inf, math.inf),   # the range is the owner's to check
+    ])
+    def test_real_field_takes_any_number(self, value, want):
+        assert type(real_field(value, "sigma")) is float and real_field(value, "sigma") == want
+
+    def test_real_field_keeps_nan_for_the_owner_to_refuse(self):
+        assert math.isnan(real_field(math.nan, "sigma"))
+
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True), "0.5", None, [0.5], {"v": 1}])
+    def test_real_field_names_the_key_of_what_it_refuses(self, value):
+        with pytest.raises(TypeError, match="^sigma must be a number"):
+            real_field(value, "sigma")
 
     def test_matrix_round_trip(self):
         kernels = [
