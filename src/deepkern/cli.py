@@ -138,8 +138,8 @@ def _load_inputs(args):
 
     fit, cv and gradcheck all read every block of the config here, so each
     rejects a config the others reject, before any fit; only the layer
-    shapes and an interpolation's gamma (never read by ``cv``, whose fits are
-    regressions) wait for the problem and objective to be built.  A value of
+    shapes and an interpolation's gamma wait for the problem and objective
+    to be built, and ``cv`` refuses an interpolation config.  A value of
     the wrong JSON type (a number where an object or a list belongs, or a
     string or a bool where a number belongs) raises ValueError naming the
     config file, as a bad model file does.
@@ -262,16 +262,16 @@ def _cmd_demo(args):
 
 
 def _cmd_cv(args):
-    dataset, outer, inner, _, config, plan, _ = _load_inputs(args)
-    if plan is None:
-        raise ValueError("config has no 'cv' block")
+    dataset, outer, inner, _, config, plan, (lam, _, _) = _load_inputs(args)
+    if lam == 0.0 or plan is None:   # an interpolation has no (lambda, mu) to choose
+        raise ValueError("cv needs a config with mode 'regress' and a 'cv' block")
     cv = cross_validate(dataset, inner, outer, plan, config)
     print(f"best_lambda={cv.best_lambda!r}")
     print(f"best_mu={cv.best_mu!r}")
     means = cv.mean_scores
     for il, lam in enumerate(cv.lambda_grid):
         for im, mu in enumerate(cv.mu_grid):
-            print(f"score.lambda={lam!r}.mu={mu!r}={means[il, im]!r}")
+            print(f"score.lambda={lam!r}.mu={mu!r}={float(means[il, im])!r}")
     return 0
 
 

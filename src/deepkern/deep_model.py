@@ -9,24 +9,22 @@ translates at the inner centers: the N data points, then any extra centers:
 By the representer theorem both concatenated problems reduce to a
 nonlinear problem in c alone.  With Q(c) the outer Gram matrix of the
 mapped points g(x_i), N(c) = c^T Kblock c the squared inner-RKHS norm and
-alpha = (Q + lam I)^{-1} y the outer coefficients:
+alpha = (Q + lam I)^{-1} y the outer coefficients, both have the value
 
-Interpolation (Int, lam = 0):  y^T alpha + N(c)                  [+ coth penalty]
-Regression (Reg, lam, mu > 0): lam alpha^T Q alpha + |y - Q alpha|^2 + mu N(c)
+    s y^T alpha + w N(c)  [+ coth penalty],  (s, w) = (1, 1) or (lam, mu),
+
+for interpolation (Int, lam = 0) and regression (Reg, lam, mu > 0): as
+y - Q alpha = lam alpha, Reg's lam alpha^T Q alpha + |y - Q alpha|^2 is lam y^T alpha.
 
 One core evaluates both, in two stages.  ``_objective_value`` forms Kblock c,
 takes its data rows as the images Z, forms Q, solves for alpha and returns
 the value with the state the gradient needs (Q and Kblock c among it);
 ``_objective_grad`` turns that state into the gradient, the only place the
 outer kernel's derivatives are evaluated, as the vector-Jacobian product
-``outer.vjp(Z, Q, alpha)`` from the Q that stage one already holds.  Only
-the data term depends on the mode; the rest is shared and weighted by
-(s, w) = (1, 1) for Int and (lam, mu) for Reg: the value gets
-w N(c) = w c^T (Kblock c), and the gradient pulls
--2 s alpha_p sum_n alpha_n d2K(g_n, g_p) back through dg/dc and adds
-2 w Kblock c.  Gradients are exact; one objective+gradient evaluation costs
-O(N^3 + N^2 D) with no (N, N, D) temporary, and a BFGS iteration adds
-O(r^2 + N D r) (see below and ``optimize``).
+``outer.vjp(Z, Q, alpha)`` from stage one's Q: it pulls -2 s alpha_p
+sum_n alpha_n d2K(g_n, g_p) back through dg/dc and adds 2 w Kblock c.
+Gradients are exact; one objective+gradient evaluation costs O(N^3 + N^2 D)
+with no (N, N, D) temporary, and a BFGS iteration adds O(r^2 + N D r).
 
 ``objective_pair(prob, lam, mu, gamma)`` is the one way to evaluate the
 objective: the (f, g) pair that a fit minimizes and that ``deepkern
@@ -55,8 +53,8 @@ an infinite trial as a failed one and retreats; an infinite starting point
 makes the restart infeasible, so a fit with no feasible start fails.
 
 Models are saved as one JSON object (``MODEL_FORMAT``); ``load_model``
-rejects files with a wrong format tag, missing keys, inconsistent shapes
-or non-finite values.
+rejects files with a wrong format tag, missing keys, inconsistent shapes,
+or a value that is not a finite JSON number where a number belongs.
 """
 
 import json
@@ -184,12 +182,8 @@ def _objective_value(c, prob, lam, mu, gamma):
         alpha, _ = spd_solve(shift_diagonal(Q, lam) if lam else Q, prob.y)
     except SingularMatrixError:      # for lam > 0 unreachable in exact arithmetic
         return SENTINEL, None
-    if lam:   # lam alpha^T Q alpha + |y - Q alpha|^2, weights (s, w) = (lam, mu)
-        Qa = Q @ alpha
-        val, s, w = lam * float(alpha @ Qa) + float(np.sum((prob.y - Qa) ** 2)), lam, mu
-    else:     # y^T Q^{-1} y, weights (s, w) = (1, 1)
-        val, s, w = float(prob.y @ alpha), 1.0, 1.0
-    val += w * norm
+    s, w = (lam, mu) if lam else (1.0, 1.0)
+    val = s * float(prob.y @ alpha) + w * norm
 
     dPdZ = None
     if gamma > 0.0:
@@ -403,6 +397,12 @@ def _finite_float(text):
     return val
 
 
+def _real_array(value, key):
+    """Nested lists of JSON numbers as a float array; ``real_field`` reads every entry."""
+    entries = np.array(value, dtype=object)
+    return np.reshape([real_field(v, key) for v in entries.flat], entries.shape)
+
+
 def load_model(path):
     """Read a model written by save_model; a malformed file raises ValueError."""
     with open(path) as fh:
@@ -416,12 +416,12 @@ def load_model(path):
     try:
         outer = scalar_from_params(rec["outer"])
         inner = matrix_from_params(rec["inner"])
-        X, c, alpha = (np.array(rec[k], dtype=float) for k in ("X", "c", "alpha"))
+        X, c, alpha = (_real_array(rec[k], k) for k in ("X", "c", "alpha"))
         lam, mu, gamma, objective = (real_field(rec[k], k) for k in ("lambda", "mu", "gamma", "objective_value"))
         check_layer_shapes(X, inner, outer)
     except KeyError as e:
         raise ValueError(f"{path}: missing key {e}") from None
-    except (TypeError, AttributeError, ValueError) as e:
+    except (TypeError, AttributeError, ValueError, OverflowError) as e:
         raise ValueError(f"{path}: malformed model record ({e})") from None
     for name, arr, shape in (("c", c, (len(X), inner.out_dim)), ("alpha", alpha, (len(X),))):
         if arr.shape != shape:

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, round trips, determinism."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -230,6 +231,33 @@ class TestOtherCommands:
         out = capsys.readouterr().out
         assert "best_lambda=" in out and "best_mu=" in out
         assert out.count("score.lambda=") == 2
+
+    def test_cv_scores_are_plain_floats(self, tmp_path, capsys):
+        # numpy 2 reprs a float64 as np.float64(...), which no reader of key=value lines parses
+        data, _ = write_data(tmp_path, n=6, seed=8)
+        cfg = {k: v for k, v in REG_CONFIG.items() if k not in ("lambda", "mu")}
+        cfg.update(cv={"folds": 2, "lambda_grid": [0.1], "mu_grid": [0.1, 0.01]},
+                   opt={"restarts": 1, "max_iters": 20})
+        assert main(["cv", "--config", write_config(tmp_path, cfg), "--data", data]) == 0
+        scores = [ln.rsplit("=", 1)[1] for ln in capsys.readouterr().out.splitlines()
+                  if ln.startswith("score.")]
+        assert len(scores) == 2
+        for text in scores:
+            assert math.isfinite(float(text)), text
+
+    @pytest.mark.parametrize("gamma", [0.0, -0.5])
+    def test_cv_refuses_an_interpolation_config_before_any_fit(self, tmp_path, capsys,
+                                                               monkeypatch, gamma):
+        # cv chooses (lambda, mu), which an interpolation does not have
+        calls = []
+        monkeypatch.setattr(experiments, "fit_two_layer", lambda *a, **k: calls.append(a))
+        data, _ = write_data(tmp_path, n=6, seed=8)
+        cfg = {**INTERP_CONFIG, "gamma": gamma,
+               "cv": {"folds": 2, "lambda_grid": [0.1], "mu_grid": [0.1]}}
+        assert main(["cv", "--config", write_config(tmp_path, cfg), "--data", data]) == 2
+        captured = capsys.readouterr()
+        assert "mode 'regress'" in captured.err
+        assert captured.out == "" and calls == []
 
     @pytest.mark.parametrize("grid", [[0.1, float("nan")], [float("nan"), 0.1], [0.1, float("inf")]],
                              ids=["nan-last", "nan-first", "inf"])
@@ -599,6 +627,12 @@ BAD_MODELS = {
     "lambda_bool": _set("lambda", True),
     "gamma_string": _set("gamma", "0"),
     "sigma_bool": _set("outer", {"family": "gauss", "sigma": True, "dim": 2}),
+    # so is every entry of X, c and alpha
+    "alpha_string": _set("alpha", ["1.0", "-2.0", "0.5"]),
+    "x_row_strings": _set("X", [["0.1", "0.2"], [-0.3, 0.4], [0.5, -0.6]]),
+    "c_bool": _set("c", [[0.25, True], [0.25, 0.25], [0.25, 0.25]]),
+    # an integer literal no float can hold
+    "x_integer_overflow": _set("X", [[10**400, 0.2], [-0.3, 0.4], [0.5, -0.6]]),
 }
 
 BAD_MODEL_TEXTS = {
@@ -627,6 +661,13 @@ class TestBadModelFiles:
         text = json.dumps(BAD_MODELS[case](_valid_record(tmp_path)))
         assert self._predict(tmp_path, text) == 2
         assert "bad.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case, key", [("alpha_string", "alpha"), ("x_row_strings", "X"),
+                                           ("c_bool", "c")])
+    def test_entry_that_is_not_a_number_is_named(self, tmp_path, capsys, case, key):
+        text = json.dumps(BAD_MODELS[case](_valid_record(tmp_path)))
+        assert self._predict(tmp_path, text) == 2
+        assert f"{key} must be a number" in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", sorted(BAD_MODEL_TEXTS))
     def test_bad_text_exits_2(self, tmp_path, capsys, case):
