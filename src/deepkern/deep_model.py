@@ -23,8 +23,10 @@ the value with the state the gradient needs (Q and Kblock c among it);
 outer kernel's derivatives are evaluated, as the vector-Jacobian product
 ``outer.vjp(Z, Q, alpha)`` from stage one's Q: it pulls -2 s alpha_p
 sum_n alpha_n d2K(g_n, g_p) back through dg/dc and adds 2 w Kblock c.
-Gradients are exact; one objective+gradient evaluation costs O(N^3 + N^2 D)
-with no (N, N, D) temporary, and a BFGS iteration adds O(r^2 + N D r).
+Gradients are exact; one objective+gradient evaluation costs O(N^3 + N^2 D),
+and a BFGS iteration adds O(r^2 + N D r).  Without the penalty (gamma = 0)
+an evaluation forms no (N, N, D) temporary; with it, ``_penalty_terms``
+forms the (N, N, D) pairwise differences of the images.
 
 ``objective_pair(prob, lam, mu, gamma)`` is the one way to evaluate the
 objective: the (f, g) pair that a fit minimizes and that ``deepkern
@@ -196,7 +198,7 @@ def _objective_value(c, prob, lam, mu, gamma):
     return val, (Z, alpha, s, w, dPdZ, Q, Bc)
 
 
-def _objective_grad(c, prob, state):
+def _objective_grad(prob, state):
     """Stage two: the exact gradient from stage one's state; zero in the sentinel region."""
     if state is None:
         return np.zeros(prob.n_coeffs)
@@ -243,7 +245,7 @@ def objective_pair(prob, lam, mu, gamma):
     def g(c):
         entry = at(c)
         if entry["grad"] is None:
-            entry["grad"] = _objective_grad(c, prob, entry["state"])
+            entry["grad"] = _objective_grad(prob, entry["state"])
         return entry["grad"]
 
     return f, g

@@ -208,7 +208,6 @@ class ErrorGrid:
     mean_error: float
     max_error: float
     frac_above_10pct: float
-    sup_h: float
 
 
 def pointwise_error_grid(predict_fn, tf, grid):
@@ -228,7 +227,6 @@ def pointwise_error_grid(predict_fn, tf, grid):
         mean_error=float(np.mean(errors)),
         max_error=float(np.max(errors)),
         frac_above_10pct=float(np.mean(errors > 0.1 * sup_h)),
-        sup_h=sup_h,
     )
 
 
@@ -252,7 +250,6 @@ class ComparisonReport:
     two_layer: ArmReport
     single_layer: ArmReport
     two_layer_model: object
-    single_layer_model: object
 
     def lines(self):
         out = [
@@ -274,8 +271,8 @@ class ComparisonReport:
 
 
 def run_comparison(tf, outer, inner, plan, cv_plan=None, mode="interpolation",
-                   config=None, cv_config=None, grid=None):
-    """Fit the two-layer model and the single-layer baseline, report grid errors.
+                   config=None, cv_config=None):
+    """Fit the two-layer model and the single-layer baseline, report errors on ``EvalGrid()``.
 
     Interpolation mode fits both arms exactly; regression mode selects
     (lambda, mu) by cross-validation for the two-layer arm and gives the
@@ -288,7 +285,7 @@ def run_comparison(tf, outer, inner, plan, cv_plan=None, mode="interpolation",
     if mode == "regression" and cv_plan is None:
         raise ValueError("regression mode needs a CV plan")
     config = config or BfgsConfig()
-    grid = grid or EvalGrid()
+    grid = EvalGrid()
     dataset = sample_dataset(tf, plan)
     fit_config = replace(config, seed=stream_seed(plan.seed, "init"))
     lam = mu = 0.0
@@ -319,7 +316,6 @@ def run_comparison(tf, outer, inner, plan, cv_plan=None, mode="interpolation",
         two_layer=ArmReport("two_layer", two_err, two_params),
         single_layer=ArmReport("single_layer", single_err, {"lambda": single.lam}),
         two_layer_model=model,
-        single_layer_model=single,
     )
 
 

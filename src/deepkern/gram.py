@@ -38,10 +38,6 @@ import numpy as np
 class SingularMatrixError(RuntimeError):
     """Factorization failed for every jitter in ``JITTERS``."""
 
-    def __init__(self, message, cond_estimate=None):
-        super().__init__(message)
-        self.cond_estimate = cond_estimate
-
 
 JITTERS = (0.0, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 
@@ -125,11 +121,9 @@ def spd_factor(M):
         factor, info = dpotrf(shift_diagonal(M, jitter) if jitter else M, lower=1, clean=0)
         if info == 0:
             return factor, jitter
-    cond = float(np.linalg.cond(M))
     raise SingularMatrixError(
         f"matrix not positive definite up to jitter {JITTERS[-1]:g} "
-        f"(condition estimate {cond:.3e})",
-        cond_estimate=cond,
+        f"(condition estimate {float(np.linalg.cond(M)):.3e})"
     )
 
 

@@ -6,7 +6,11 @@ starting at v = 0.  The caller supplies U when it knows the objective's
 gradient always lies in range(U) (then BFGS could never leave x0 + range(U)
 anyway); ``basis=None`` means U = I.  f and g stay functions of x: the
 search direction and the update use the pulled-back gradient U^T g(x),
-and the stopping test is the infinity norm of g(x) itself.
+and the stopping test is the infinity norm of g(x) itself.  A restart has
+one exit, reached when that norm is at most ``grad_tol`` (after 0
+iterations at a start that meets it), after ``max_iters`` iterations, at a
+failed line search or where U^T g(x) = 0; ``converged`` is read off the
+final gradient norm.
 
 A full dense r x r inverse Hessian is kept (no limited-memory variant).
 It is updated with the BFGS formula of Nocedal & Wright, *Numerical
@@ -37,8 +41,10 @@ import numpy as np
 WOLFE_C1 = 1e-4         # sufficient decrease (Nocedal & Wright, section 3.1)
 WOLFE_C2 = 0.9          # curvature
 ALPHA_MAX = 100.0       # the largest step the bracketing phase tries
-BRACKET_MAX_ITER = 25   # trial steps of the bracketing phase
+BRACKET_MAX_ITER = 25   # trial steps of the bracketing phase; binds only when ALPHA_MAX > 2^24
 ZOOM_MAX_ITER = 30      # trial steps of the zoom phase
+GRAD_CHECK_STEP = 1e-6      # central-difference step of grad_check
+GRAD_CHECK_REL_TOL = 1e-5   # largest error grad_check passes
 
 
 class OptimizationError(RuntimeError):
@@ -78,9 +84,7 @@ class OptimizationResult:
 
 
 def _cubic_step(a, fa, da, b, fb, db):
-    """Minimizer of the cubic matching values and slopes at a and b."""
-    if a == b:
-        return None
+    """Minimizer of the cubic matching values and slopes at a and b; a != b."""
     d1 = da + db - 3.0 * (fa - fb) / (a - b)
     disc = d1 * d1 - da * db
     if disc < 0.0:
@@ -100,7 +104,7 @@ def _zoom(feval, geval, alo, flo, dlo, ahi, fhi, dhi, f0, dphi0):
         if width <= 1e-16 * max(1.0, abs(alo)):
             return None
         a = None
-        usable = np.isfinite(flo) and np.isfinite(fhi)
+        usable = np.isfinite(fhi)   # flo is f0 or an accepted trial's value, both finite
         if usable and dhi is not None:
             a = _cubic_step(alo, flo, dlo, ahi, fhi, dhi)
         elif usable:
@@ -116,7 +120,6 @@ def _zoom(feval, geval, alo, flo, dlo, ahi, fhi, dhi, f0, dphi0):
         else:
             ga, da = geval(a)
             if abs(da) <= -WOLFE_C2 * dphi0:
-                assert fa <= f0 + WOLFE_C1 * a * dphi0   # strong Wolfe holds on acceptance
                 return a, fa, ga
             if da * (ahi - alo) >= 0.0:
                 ahi, fhi, dhi = alo, flo, dlo
@@ -137,7 +140,6 @@ def _strong_wolfe(feval, geval, f0, dphi0):
             return _zoom(feval, geval, a_prev, f_prev, d_prev, a, fa, None, f0, dphi0)
         ga, da = geval(a)
         if abs(da) <= -WOLFE_C2 * dphi0:
-            assert fa <= f0 + WOLFE_C1 * a * dphi0
             return a, fa, ga
         if da >= 0.0:
             return _zoom(feval, geval, a, fa, da, a_prev, f_prev, d_prev, f0, dphi0)
@@ -176,17 +178,14 @@ def bfgs_minimize(f, g, x0, config=BfgsConfig(), restart_index=0, basis=None):
         raise InfeasibleStartError("objective is not finite at the starting point")
     gx = np.asarray(g(x), dtype=float)
     gnorm = float(np.max(np.abs(gx))) if len(gx) else 0.0
-    if gnorm <= config.grad_tol:
-        return OptimizationResult(x, fx, restart_index, 0, True, gnorm)
-
     v = np.zeros(U.shape[1])
     gv = U.T @ gx
     eye = np.eye(len(v))
     H = eye.copy()
     iterations = 0
-    converged = False
     first_update = True
-    for _ in range(config.max_iters):
+    # "not <=" keeps going at a NaN gradient norm, which never counts as converged
+    while not gnorm <= config.grad_tol and iterations < config.max_iters:
         p = -(H @ gv)
         dphi0 = float(p @ gv)
         if dphi0 >= 0.0:   # H lost positive definiteness; restart from steepest descent
@@ -227,10 +226,7 @@ def bfgs_minimize(f, g, x0, config=BfgsConfig(), restart_index=0, basis=None):
                 first_update = False
             _inverse_update(H, s, yk, 1.0 / sy)
         gnorm = float(np.max(np.abs(gx)))
-        if gnorm <= config.grad_tol:
-            converged = True
-            break
-    return OptimizationResult(x, fx, restart_index, iterations, converged, gnorm)
+    return OptimizationResult(x, fx, restart_index, iterations, gnorm <= config.grad_tol, gnorm)
 
 
 def multistart(f, g, dim, config=BfgsConfig(), basis=None):
@@ -246,7 +242,7 @@ def multistart(f, g, dim, config=BfgsConfig(), basis=None):
             res = bfgs_minimize(f, g, x0, config, restart_index=k, basis=basis)
         except InfeasibleStartError:   # any other error is a bug or a bad config: let it out
             continue
-        if np.isfinite(res.objective) and (best is None or res.objective < best.objective):
+        if best is None or res.objective < best.objective:   # res.objective is finite
             best = res
     if best is None:
         raise OptimizationError("no restart produced a finite objective")
@@ -273,13 +269,13 @@ class GradCheckReport:
     passed: bool
 
 
-def grad_check(f, g, x, h=1e-6, rel_tol=1e-5):
-    """Compare an analytic gradient against central differences.
+def grad_check(f, g, x):
+    """Compare an analytic gradient against central differences of step GRAD_CHECK_STEP.
 
     Components with |fd| below 1e-8 are compared absolutely (the relative
     error is meaningless near a sign change of the derivative).
     """
-    fd = finite_diff_grad(f, x, h)
+    fd = finite_diff_grad(f, x, GRAD_CHECK_STEP)
     ga = np.asarray(g(x), dtype=float)
     errs = np.empty_like(fd)
     for i in range(len(fd)):
@@ -289,4 +285,4 @@ def grad_check(f, g, x, h=1e-6, rel_tol=1e-5):
             errs[i] = abs(ga[i] - fd[i]) / abs(fd[i])
     worst = int(np.argmax(errs)) if len(errs) else 0
     max_err = float(errs[worst]) if len(errs) else 0.0
-    return GradCheckReport(max_rel_err=max_err, worst_component=worst, passed=max_err <= rel_tol)
+    return GradCheckReport(max_rel_err=max_err, worst_component=worst, passed=max_err <= GRAD_CHECK_REL_TOL)

@@ -215,8 +215,14 @@ class TestPredict:
     def test_dimension_mismatch_exits_2(self, tmp_path, capsys):
         model_path, _ = self._fit(tmp_path)
         pts = tmp_path / "pts.csv"
-        pts.write_text("x1,x2,x3\n0.1,0.2,0.3\n")
-        assert main(["predict", "--model", model_path, "--points", str(pts)]) == 2
+        capsys.readouterr()
+        for header, row, dim in (("x1,x2,x3", "0.1,0.2,0.3", 3), ("x1", "0.1", 1)):
+            pts.write_text(f"{header}\n{row}\n")
+            assert main(["predict", "--model", model_path, "--points", str(pts)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"points have dimension {dim}, " in captured.err
+            assert "expects 2" in captured.err
 
 
 class TestOtherCommands:
@@ -379,7 +385,7 @@ class TestDemoWiring:
             test_function=tf, mode=mode, plan=exp.SamplingPlan(seed=0), restarts=2,
             two_layer=exp.ArmReport("two_layer", err, {"lambda": 0.1, "mu": 0.1}),
             single_layer=exp.ArmReport("single_layer", err, {"lambda": 0.1}),
-            two_layer_model=model, single_layer_model=None)
+            two_layer_model=model)
 
     def test_linout_demo_outputs(self, tmp_path, monkeypatch, capsys):
         import deepkern.cli as cli
@@ -421,13 +427,36 @@ class TestDemoWiring:
 
 
 class TestExitCodes:
-    def test_gradcheck_failure_exits_3(self, tmp_path, capsys):
+    def test_gradcheck_failure_exits_3(self, tmp_path, capsys, monkeypatch):
+        real_pair = cli.objective_pair
+
+        def wrong_pair(*args):   # the true f with twice its gradient
+            f, g = real_pair(*args)
+            return f, lambda c: 2.0 * g(c)
+
+        monkeypatch.setattr(cli, "objective_pair", wrong_pair)
         data, _ = write_data(tmp_path, n=6, seed=14)
         cfg = write_config(tmp_path, REG_CONFIG)
-        code = main(["gradcheck", "--config", cfg, "--data", data,
-                     "--rel-tol", "1e-18"])
+        code = main(["gradcheck", "--config", cfg, "--data", data])
+        captured = capsys.readouterr()
         assert code == 3
-        assert "gradient check failed" in capsys.readouterr().err
+        assert "passed=False" in captured.out
+        assert "gradient check failed" in captured.err
+
+    @pytest.mark.parametrize("flag", [
+        ["--step", "1e-6"], ["--step", "inf"], ["--step", "1e300"],
+        ["--rel-tol", "1e-5"], ["--rel-tol", "nan"], ["--rel-tol", "-1"],
+    ], ids=["step", "step-inf", "step-1e300", "rel-tol", "rel-tol-nan", "rel-tol-negative"])
+    def test_gradcheck_takes_no_tuning_flags(self, tmp_path, capsys, flag):
+        # the step and the tolerance are fixed, so argparse refuses any value for them as bad input
+        data, _ = write_data(tmp_path, n=6, seed=14)
+        cfg = write_config(tmp_path, REG_CONFIG)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["gradcheck", "--config", cfg, "--data", data, *flag])
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
 
     def test_fit_with_no_feasible_restart_exits_3(self, tmp_path, capsys):
         # a duplicated point maps to coincident images for every c, where the

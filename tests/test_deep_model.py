@@ -59,7 +59,7 @@ def _uncached(c, prob, lam, mu, gamma):
     ok=False marks the sentinel region, where stage one keeps no state.
     """
     val, state = _objective_value(c, prob, lam, mu, gamma)
-    return val, _objective_grad(c, prob, state), state is not None
+    return val, _objective_grad(prob, state), state is not None
 
 
 def inner_at(c, inner, X, x):

@@ -218,8 +218,7 @@ class TestRunComparison:
             plan = SamplingPlan(n_samples=40, noise_sigma=0.0, seed=12)
             report = run_comparison("rep", kernel, POLY1, plan,
                                     mode="interpolation",
-                                    config=BfgsConfig(restarts=8, seed=12),
-                                    grid=EvalGrid(meshwidth=0.1))
+                                    config=BfgsConfig(restarts=8, seed=12))
             assert report.single_layer.error.mean_error <= 1e-3
             assert report.two_layer.error.mean_error <= 1e-3
         finally:
@@ -230,11 +229,10 @@ class TestRunComparison:
         from deepkern.kernels import TensorMaternKernel
         plan = SamplingPlan(n_samples=12, seed=13)
         cfg = BfgsConfig(restarts=2, seed=0)
-        grid = EvalGrid(meshwidth=0.2)
         r1 = run_comparison("h1", TensorMaternKernel(1, 2), POLY1, plan,
-                            mode="interpolation", config=cfg, grid=grid)
+                            mode="interpolation", config=cfg)
         r2 = run_comparison("h1", TensorMaternKernel(1, 2), POLY1, plan,
-                            mode="interpolation", config=cfg, grid=grid)
+                            mode="interpolation", config=cfg)
         assert r1.lines() == r2.lines()
         np.testing.assert_array_equal(r1.two_layer.error.errors, r2.two_layer.error.errors)
 
@@ -244,7 +242,6 @@ class TestRunComparisonRegression:
 
     OUTER = GaussKernel(0.5, 2)
     PLAN = SamplingPlan(n_samples=12, seed=33)
-    GRID = EvalGrid(meshwidth=0.25)
     # every seed derives from PLAN.seed; at seed 99 the folds would pick (1e-3, 1e-2) instead
     CV_PLAN = CvPlan(folds=2, lambda_grid=(1e-3, 1e-1), mu_grid=(1e-2, 1.0), seed=99)
     CV_CONFIG = BfgsConfig(restarts=2, max_iters=30, seed=5)
@@ -253,14 +250,14 @@ class TestRunComparisonRegression:
     def _run(self):
         return run_comparison("h1", self.OUTER, POLY1, self.PLAN, cv_plan=self.CV_PLAN,
                               mode="regression", config=self.CONFIG,
-                              cv_config=self.CV_CONFIG, grid=self.GRID)
+                              cv_config=self.CV_CONFIG)
 
     def test_arms_match_their_recomputed_choices(self):
         report = self._run()
         ds = sample_dataset("h1", self.PLAN)
         errors = [pointwise_error_grid(
             lambda pts: predict_single(fit_single(self.OUTER, ds.X, ds.y, lam=lam), pts),
-            "h1", self.GRID).mean_error for lam in self.CV_PLAN.lambda_grid]
+            "h1", EvalGrid()).mean_error for lam in self.CV_PLAN.lambda_grid]
         assert report.single_layer.params == {"lambda": self.CV_PLAN.lambda_grid[np.argmin(errors)]}
         assert report.single_layer.error.mean_error == min(errors)
 
@@ -281,7 +278,7 @@ class TestRunComparisonRegression:
 
     def test_interpolation_arm_param_keys(self):
         report = run_comparison("h1", self.OUTER, POLY1, self.PLAN, mode="interpolation",
-                                config=BfgsConfig(restarts=2, max_iters=30), grid=self.GRID)
+                                config=BfgsConfig(restarts=2, max_iters=30))
         assert sorted(report.two_layer.params) == ["objective", "restart_index"]
         assert report.single_layer.params == {"lambda": 0.0}
 

@@ -122,9 +122,8 @@ class TestSpdSolve:
 
     def test_indefinite_fails_with_condition_estimate(self):
         M = np.array([[1.0, 0.0], [0.0, -1.0]])
-        with pytest.raises(SingularMatrixError) as info:
+        with pytest.raises(SingularMatrixError, match=r"condition estimate 1\.000e\+00"):
             spd_solve(M, np.array([1.0, 1.0]))
-        assert info.value.cond_estimate is not None
 
     def test_indefinite_tries_each_jitter_once(self, monkeypatch):
         attempts = []

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from deepkern.optimize import (
     BfgsConfig,
@@ -139,6 +142,49 @@ class TestBfgs:
         a, fa, ga = out
         assert fa <= f0 + WOLFE_C1 * a * dphi0         # sufficient decrease
         assert abs(float(ga @ p)) <= -WOLFE_C2 * dphi0  # curvature
+
+
+def weighted_quadratic(x):
+    return float(x @ (np.array([1.0, 10.0, 100.0]) * x))
+
+
+def weighted_quadratic_grad(x):
+    return 2.0 * np.array([1.0, 10.0, 100.0]) * x
+
+
+class TestOneExit:
+    """A restart returns from one place, and ``converged`` is read off its final gradient."""
+
+    PROBLEMS = {
+        "rosenbrock": (rosenbrock, rosenbrock_grad, 2),
+        "quadratic": (weighted_quadratic, weighted_quadratic_grad, 3),
+    }
+
+    @settings(max_examples=200, deadline=None)
+    @given(problem=st.sampled_from(sorted(PROBLEMS)),
+           basis=st.sampled_from(["none", "identity", "subspace"]),
+           start=arrays(float, 3, elements=st.floats(-2.0, 2.0)),
+           max_iters=st.integers(1, 12),
+           grad_tol=st.sampled_from([0.0, 1e-8, 1e-3, 1.0, 50.0, 1e4]))
+    @example(problem="quadratic", basis="none", start=np.zeros(3), max_iters=1, grad_tol=0.0)
+    @example(problem="rosenbrock", basis="subspace", start=np.ones(3), max_iters=5, grad_tol=0.0)
+    def test_converged_iff_final_gradient_meets_the_tolerance(self, problem, basis, start,
+                                                               max_iters, grad_tol):
+        f, g, n = self.PROBLEMS[problem]
+        x0 = start[:n]
+        U = {"none": None, "identity": np.eye(n),
+             "subspace": np.linalg.qr(np.random.default_rng(n).standard_normal((n, n - 1)))[0]}[basis]
+        cfg = BfgsConfig(max_iters=max_iters, grad_tol=grad_tol)
+        res = bfgs_minimize(f, g, x0, cfg, basis=U)
+        assert res.converged == (res.grad_norm <= cfg.grad_tol)
+        assert res.grad_norm == float(np.max(np.abs(g(res.x))))
+        assert res.objective == f(res.x)
+        assert 0 <= res.iterations <= max_iters
+        start_norm = float(np.max(np.abs(g(x0))))
+        if start_norm <= grad_tol:   # a stationary start returns its own bits
+            assert res.iterations == 0 and res.converged
+            assert res.x.tobytes() == x0.tobytes()
+            assert res.objective == f(x0) and res.grad_norm == start_norm
 
 
 class TestRangeBasis:
