@@ -87,11 +87,9 @@ def _build_kernels(cfg, data_dim):
 
 
 def _build_opt_config(cfg, seed):
-    """BfgsConfig from the 'opt' block; keys it leaves out keep BfgsConfig's defaults."""
+    """BfgsConfig from the 'opt' block; BfgsConfig reads the values, and left-out keys keep its defaults."""
     opt = cfg.get("opt", {})
-    given = {k: integer_field(opt[k], k) for k in ("max_iters", "restarts", "seed") if k in opt}
-    if "grad_tol" in opt:
-        given["grad_tol"] = real_field(opt["grad_tol"], "grad_tol")
+    given = {k: opt[k] for k in ("max_iters", "grad_tol", "restarts", "seed") if k in opt}
     return BfgsConfig(**{"seed": seed, **given})
 
 
@@ -100,9 +98,7 @@ def _build_cv_plan(cfg, seed):
     cv = cfg.get("cv")
     if cv is None:
         return None
-    given = {k: cv[k] for k in ("lambda_grid", "mu_grid") if k in cv}   # CvPlan reads them
-    if "folds" in cv:
-        given["folds"] = integer_field(cv["folds"], "folds")
+    given = {k: cv[k] for k in ("folds", "lambda_grid", "mu_grid") if k in cv}   # CvPlan reads them
     return CvPlan(seed=seed, **given)
 
 
@@ -267,8 +263,8 @@ def _cmd_cv(args):
     print(f"best_lambda={cv.best_lambda!r}")
     print(f"best_mu={cv.best_mu!r}")
     means = cv.mean_scores
-    for il, lam in enumerate(cv.lambda_grid):
-        for im, mu in enumerate(cv.mu_grid):
+    for il, lam in enumerate(plan.lambda_grid):
+        for im, mu in enumerate(plan.mu_grid):
             print(f"score.lambda={lam!r}.mu={mu!r}={float(means[il, im])!r}")
     return 0
 

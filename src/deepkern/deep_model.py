@@ -67,6 +67,7 @@ import numpy as np
 
 from .gram import SingularMatrixError, by_point_blocks, shift_diagonal, spd_solve
 from .kernels import matrix_from_params, matrix_to_params, real_field, scalar_from_params, scalar_to_params
+from .optimize import BfgsConfig, multistart
 from .single_layer import SingleLayerModel, predict_single
 
 SENTINEL = math.inf   # the value of every infeasible point
@@ -181,7 +182,7 @@ def _objective_value(c, prob, lam, mu, gamma):
     if not np.all(np.isfinite(Q)):   # overflowed images, e.g. runaway line-search trial
         return SENTINEL, None
     try:
-        alpha, _ = spd_solve(shift_diagonal(Q, lam) if lam else Q, prob.y)
+        alpha, _ = spd_solve(shift_diagonal(Q, lam), prob.y)
     except SingularMatrixError:      # for lam > 0 unreachable in exact arithmetic
         return SENTINEL, None
     s, w = (lam, mu) if lam else (1.0, 1.0)
@@ -288,8 +289,6 @@ def fit_two_layer(X, y, inner, outer, lam=0.0, mu=0.0, gamma=0.0,
     accepted and unused: restarts run in the calling thread.
     Returns (model, optimization_result).
     """
-    from .optimize import BfgsConfig, multistart
-
     prob = TwoLayerProblem(X, y, inner, outer)
     f, g = objective_pair(prob, lam, mu, gamma)
     result = multistart(f, g, prob.n_coeffs, config or BfgsConfig(), basis=range_basis(prob))
@@ -325,7 +324,7 @@ class TwoLayerModel:
 
 
 def predict_two_layer(model, points):
-    """f(g(.)): map the points through g, then evaluate the outer expansion.
+    """f(g(.)) at (m, d) points as an (m,) array; a 1-D point is one row.
 
     By the representer theorem the outer layer is the single-layer expansion
     sum_j alpha_j K(g(x_j), .) over the mapped training points, so each
@@ -335,13 +334,10 @@ def predict_two_layer(model, points):
     the same bits; a point's value can differ in the last bits with the
     batch it is predicted in (see ``gram``).
     """
-    pts = np.asarray(points, dtype=float)
-    single = pts.ndim == 1
     prob = model.problem()
-    outer = SingleLayerModel(model.outer, prob.images(model.c), model.alpha, model.lam)
-    vals = by_point_blocks(lambda block: predict_single(outer, prob.images_at(model.c, block)),
-                           np.atleast_2d(pts))
-    return float(vals[0]) if single else vals
+    outer = SingleLayerModel(model.outer, prob.images(model.c), model.alpha)
+    return by_point_blocks(lambda block: predict_single(outer, prob.images_at(model.c, block)),
+                           np.atleast_2d(np.asarray(points, dtype=float)))
 
 
 # -----------------------------

@@ -23,7 +23,7 @@ import numpy as np
 
 from .deep_model import fit_two_layer, predict_two_layer
 from .gram import by_point_blocks
-from .kernels import real_field
+from .kernels import integer_field, real_field
 from .optimize import BfgsConfig
 from .single_layer import fit_single, predict_single
 
@@ -70,6 +70,8 @@ class SamplingPlan:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_samples", "seed"):
+            object.__setattr__(self, name, integer_field(getattr(self, name), name))
         if self.n_samples < 1:
             raise ValueError("need at least one sample")
         if self.noise_sigma < 0.0:
@@ -117,14 +119,14 @@ class EvalGrid:
 # Cross-validation
 # -----------------------------
 
-def dyadic_grid(t_max=10):
-    """{2^(-2t+1) : t = 1..t_max}"""
-    return [2.0 ** (-2 * t + 1) for t in range(1, t_max + 1)]
+def dyadic_grid():
+    """{2^(-2t+1) : t = 1..10}"""
+    return [2.0 ** (-2 * t + 1) for t in range(1, 11)]
 
 
-def decade_grid(t_max=6):
-    """{10^(-2t+1) : t = 1..t_max}"""
-    return [10.0 ** (-2 * t + 1) for t in range(1, t_max + 1)]
+def decade_grid():
+    """{10^(-2t+1) : t = 1..6}"""
+    return [10.0 ** (-2 * t + 1) for t in range(1, 7)]
 
 
 @dataclass(frozen=True)
@@ -135,6 +137,8 @@ class CvPlan:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("folds", "seed"):
+            object.__setattr__(self, name, integer_field(getattr(self, name), name))
         if self.folds < 2:
             raise ValueError("need at least two folds")
         for name in ("lambda_grid", "mu_grid"):
@@ -154,11 +158,10 @@ def fold_blocks(n, folds, rng):
 
 @dataclass(frozen=True)
 class CvResult:
+    """The chosen (lambda, mu) and every cell's fold scores; the grids are the plan's."""
     best_lambda: float
     best_mu: float
-    lambda_grid: tuple
-    mu_grid: tuple
-    fold_scores: np.ndarray   # (n_lambda, n_mu, folds)
+    fold_scores: np.ndarray   # (n_lambda, n_mu, folds), indexed like the plan's grids
 
     @property
     def mean_scores(self):
@@ -191,9 +194,7 @@ def cross_validate(dataset, inner, outer, cv_plan, config, threads=1):
     il, im = min(np.ndindex(n_lam, n_mu), key=lambda i: (
         mean_scores[i], -cv_plan.lambda_grid[i[0]], -cv_plan.mu_grid[i[1]]))
     return CvResult(
-        best_lambda=cv_plan.lambda_grid[il], best_mu=cv_plan.mu_grid[im],
-        lambda_grid=cv_plan.lambda_grid, mu_grid=cv_plan.mu_grid,
-        fold_scores=scores,
+        best_lambda=cv_plan.lambda_grid[il], best_mu=cv_plan.mu_grid[im], fold_scores=scores,
     )
 
 
@@ -306,15 +307,15 @@ def run_comparison(tf, outer, inner, plan, cv_plan=None, mode="interpolation",
         cand = fit_single(baseline, dataset.X, dataset.y, lam=base_lam)
         err = pointwise_error_grid(lambda pts: predict_single(cand, pts), tf, grid)
         if best is None or err.mean_error < best[1].mean_error:
-            best = (cand, err)
-    single, single_err = best
+            best = (base_lam, err)
+    single_lam, single_err = best
     return ComparisonReport(
         test_function=tf,
         mode=mode,
         plan=plan,
         restarts=config.restarts,
         two_layer=ArmReport("two_layer", two_err, two_params),
-        single_layer=ArmReport("single_layer", single_err, {"lambda": single.lam}),
+        single_layer=ArmReport("single_layer", single_err, {"lambda": single_lam}),
         two_layer_model=model,
     )
 

@@ -8,7 +8,7 @@ coincident data points) picks up the smallest jitter that lets the
 factorization succeed, and a matrix that fails at 1e-6 raises
 ``SingularMatrixError``.  Solutions get one step of iterative refinement,
 which keeps residuals near machine precision even close to the jitter
-boundary.
+boundary.  Every M + t I is ``shift_diagonal(M, t)``, which is M at t = 0.
 
 Kernel evaluations at m new points go through ``by_point_blocks``, which
 evaluates them ``POINT_BLOCK`` = 256 rows at a time, so a read path holds
@@ -67,11 +67,13 @@ def by_point_blocks(fn, points):
 
 
 def shift_diagonal(M, t):
-    """M + t I as a new array, without forming I; M is left as it is.
+    """M + t I without forming I: M itself when t = 0, else a new array; M is left as it is.
 
     The diagonal gets the same sums as ``M + t * np.eye(n)``; off it, that
     form adds t * 0 = +0, which changes no value, and this adds nothing.
     """
+    if not t:
+        return M
     out = np.array(M, dtype=float, order="C")
     out.ravel()[::len(out) + 1] += t
     return out
@@ -118,7 +120,7 @@ def spd_factor(M):
     for jitter in JITTERS:
         # info > 0: not positive definite; info < 0 (a bad argument) cannot
         # occur, as the wrapper checks shapes and types before LAPACK runs
-        factor, info = dpotrf(shift_diagonal(M, jitter) if jitter else M, lower=1, clean=0)
+        factor, info = dpotrf(shift_diagonal(M, jitter), lower=1, clean=0)
         if info == 0:
             return factor, jitter
     raise SingularMatrixError(
@@ -137,9 +139,8 @@ def spd_solve(M, b):
     if not np.all(np.isfinite(b)):
         raise ValueError("right-hand side contains non-finite entries")
     factor, jitter = spd_factor(M)
-    Mj = shift_diagonal(M, jitter) if jitter else M
     dpotrs = _lapack()[1]
     x = dpotrs(factor, b, lower=1)[0]
     # one refinement pass; negligible cost next to the factorization
-    x = x + dpotrs(factor, b - Mj @ x, lower=1)[0]
+    x = x + dpotrs(factor, b - shift_diagonal(M, jitter) @ x, lower=1)[0]
     return x, jitter

@@ -38,6 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import integer_field, real_field
+
 WOLFE_C1 = 1e-4         # sufficient decrease (Nocedal & Wright, section 3.1)
 WOLFE_C2 = 0.9          # curvature
 ALPHA_MAX = 100.0       # the largest step the bracketing phase tries
@@ -63,7 +65,10 @@ class BfgsConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (isinstance(self.max_iters, (int, np.integer)) and self.max_iters >= 1):
+        for name in ("max_iters", "restarts", "seed"):
+            object.__setattr__(self, name, integer_field(getattr(self, name), name))
+        object.__setattr__(self, "grad_tol", real_field(self.grad_tol, "grad_tol"))
+        if self.max_iters < 1:
             raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         if not 0.0 <= self.grad_tol < np.inf:   # also rejects NaN
             raise ValueError(f"grad_tol must be finite and >= 0, got {self.grad_tol!r}")
@@ -220,7 +225,8 @@ def bfgs_minimize(f, g, x0, config=BfgsConfig(), restart_index=0, basis=None):
         gv = gv_new
         iterations += 1
         sy = float(s @ yk)
-        if sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(yk)):
+        # a subnormal s^T y can pass the curvature test, but then 1 / s^T y is inf
+        if sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(yk)) and np.isfinite(1.0 / sy):
             if first_update:
                 H = (sy / float(yk @ yk)) * eye
                 first_update = False

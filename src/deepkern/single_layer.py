@@ -9,10 +9,10 @@ from .gram import by_point_blocks, shift_diagonal, spd_solve
 
 @dataclass(frozen=True)
 class SingleLayerModel:
+    """The fitted expansion sum_i alpha_i K(x_i, .), all that prediction reads; no lambda."""
     kernel: object
     centers: np.ndarray   # (N, d) training points
     alpha: np.ndarray     # (N,) expansion coefficients
-    lam: float            # 0 means interpolation
 
     def __post_init__(self):
         if len(self.alpha) != len(self.centers):
@@ -27,23 +27,19 @@ def fit_single(kernel, X, y, lam=0.0):
         raise ValueError(f"lam must be nonnegative, got {lam!r}")
     if len(y) != len(X):
         raise ValueError("X and y lengths differ")
-    M = kernel.cross(X, X)
-    alpha, _ = spd_solve(shift_diagonal(M, lam) if lam else M, y)
-    return SingleLayerModel(kernel=kernel, centers=X, alpha=alpha, lam=float(lam))
+    alpha, _ = spd_solve(shift_diagonal(kernel.cross(X, X), lam), y)
+    return SingleLayerModel(kernel=kernel, centers=X, alpha=alpha)
 
 
 def predict_single(model, points):
-    """Evaluate the fitted expansion at one point or a (m, d) batch.
+    """The fitted expansion at (m, d) points as an (m,) array; a 1-D point is one row.
 
-    The batch is evaluated in blocks of ``gram.POINT_BLOCK`` = 256 points, so
+    The points are evaluated in blocks of ``gram.POINT_BLOCK`` = 256, so
     memory is O(N POINT_BLOCK) for any m; a point's value can differ in
     the last bits with the batch it is in (see ``gram``).
     """
-    pts = np.asarray(points, dtype=float)
-    single = pts.ndim == 1
-    vals = by_point_blocks(lambda block: model.kernel.cross(model.centers, block).T @ model.alpha,
-                           np.atleast_2d(pts))
-    return float(vals[0]) if single else vals
+    return by_point_blocks(lambda block: model.kernel.cross(model.centers, block).T @ model.alpha,
+                           np.atleast_2d(np.asarray(points, dtype=float)))
 
 
 def rkhs_norm_sq_single(model):

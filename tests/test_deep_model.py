@@ -814,8 +814,7 @@ def baseline_model(family, n=20, seed=2):
     """A single-layer expansion with the outer family on the 2-d data domain."""
     rng = np.random.default_rng(seed)
     return SingleLayerModel(kernel=dataclasses.replace(BLOCK_OUTERS[family], dim=2),
-                            centers=rng.uniform(-1, 1, (n, 2)), alpha=rng.uniform(0.5, 1.5, n),
-                            lam=0.0)
+                            centers=rng.uniform(-1, 1, (n, 2)), alpha=rng.uniform(0.5, 1.5, n))
 
 
 def one_shot_images(model, pts):
@@ -824,14 +823,12 @@ def one_shot_images(model, pts):
 
 
 def one_shot_two_layer(model, pts):
-    z_pts = one_shot_images(model, np.atleast_2d(pts))
-    vals = model.outer.cross(one_shot_images(model, model.X), z_pts).T @ model.alpha
-    return float(vals[0]) if np.ndim(pts) == 1 else vals
+    z_pts = one_shot_images(model, pts)
+    return model.outer.cross(one_shot_images(model, model.X), z_pts).T @ model.alpha
 
 
 def one_shot_single(model, pts):
-    vals = model.kernel.cross(model.centers, np.atleast_2d(pts)).T @ model.alpha
-    return float(vals[0]) if np.ndim(pts) == 1 else vals
+    return model.kernel.cross(model.centers, pts).T @ model.alpha
 
 
 def assert_close(got, ref):
@@ -881,13 +878,14 @@ class TestBlockedReadPaths:
         assert_close(rows[:, 2:], one_shot_images(model, pts))
 
     @pytest.mark.parametrize("family", sorted(BLOCK_OUTERS))
-    def test_one_dimensional_point_gives_a_float(self, family):
+    def test_one_dimensional_point_is_one_row(self, family):
+        # a 1-D point is the (1, d) array of that point: a 1-element array, bit for bit
         model, baseline = mixture_model(BLOCK_OUTERS[family]), baseline_model(family)
         pt = np.array([0.3, -0.2])
-        got2, got1 = predict_two_layer(model, pt), predict_single(baseline, pt)
-        assert type(got2) is float and type(got1) is float
-        assert_close(got2, one_shot_two_layer(model, pt))
-        assert_close(got1, one_shot_single(baseline, pt))
+        for predict, m in ((predict_two_layer, model), (predict_single, baseline)):
+            got, row = predict(m, pt), predict(m, pt[None, :])
+            assert isinstance(got, np.ndarray) and got.shape == (1,)
+            assert got.tobytes() == row.tobytes()
 
 
 def _traced_peak(fn, *args):

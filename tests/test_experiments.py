@@ -101,6 +101,22 @@ class TestEvalGrid:
             EvalGrid(meshwidth=meshwidth)
 
 
+class TestPlanCounts:
+    @pytest.mark.parametrize("plan, field, value, error", [
+        (CvPlan, "folds", 2.5, ValueError), (CvPlan, "seed", 1.5, ValueError),
+        (CvPlan, "folds", True, TypeError), (SamplingPlan, "n_samples", 2.5, ValueError),
+        (SamplingPlan, "seed", 1.5, ValueError), (SamplingPlan, "n_samples", True, TypeError),
+    ])
+    def test_refuses_a_count_that_is_not_an_integer(self, plan, field, value, error):
+        with pytest.raises(error, match=field):
+            plan(**{field: value})
+
+    def test_reads_integer_valued_numbers_as_ints(self):
+        cv, sampling = CvPlan(folds=3.0, seed=np.int64(4)), SamplingPlan(n_samples=7.0, seed=2.0)
+        assert (cv.folds, cv.seed, sampling.n_samples, sampling.seed) == (3, 4, 7, 2)
+        assert all(type(v) is int for v in (cv.folds, cv.seed, sampling.n_samples, sampling.seed))
+
+
 class TestFolds:
     def test_partition(self):
         blocks = fold_blocks(23, 5, stream_rng(0, "folds"))
@@ -115,12 +131,13 @@ class TestFolds:
 
 class TestGrids:
     def test_dyadic_grid(self):
-        g = dyadic_grid(3)
-        np.testing.assert_allclose(g, [0.5, 0.125, 0.03125])
+        g = dyadic_grid()
+        assert len(g) == 10 and g[-1] == 2.0 ** -19
+        np.testing.assert_allclose(g[:3], [0.5, 0.125, 0.03125])
 
     def test_decade_grid(self):
-        g = decade_grid(2)
-        np.testing.assert_allclose(g, [0.1, 0.001])
+        g = decade_grid()
+        np.testing.assert_allclose(g, [0.1, 1e-3, 1e-5, 1e-7, 1e-9, 1e-11])
 
     # a bad value comes last, where a check of min(grid) would skip a NaN
     @pytest.mark.parametrize("values", [(0.1, 0.0), (0.1, -1.0), (0.1, float("nan")),
@@ -168,8 +185,8 @@ class TestCrossValidate:
         plan = CvPlan(folds=5, lambda_grid=(1e-6, 1e-2), mu_grid=(1e-6, 1e-2), seed=2)
         cv = cross_validate(ds, POLY1, PolyKernel(1, 2), plan,
                             BfgsConfig(restarts=3, max_iters=200, seed=2))
-        il = cv.lambda_grid.index(cv.best_lambda)
-        im = cv.mu_grid.index(cv.best_mu)
+        il = plan.lambda_grid.index(cv.best_lambda)
+        im = plan.mu_grid.index(cv.best_mu)
         assert cv.mean_scores[il, im] <= 1e-4
 
 

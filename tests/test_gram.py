@@ -91,6 +91,14 @@ class TestShiftDiagonal:
                 assert np.array_equal(got, M + t * np.eye(n))
                 np.testing.assert_array_equal(M, M0)
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_zero_shift_is_the_matrix_itself(self, order):
+        M = np.array(random_spd(np.random.default_rng(5), 4), order=order)
+        M0 = M.copy()
+        for t in (0.0, -0.0, 0):
+            assert gram_module.shift_diagonal(M, t) is M
+        np.testing.assert_array_equal(M, M0)
+
 
 class TestSpdSolve:
     def test_scalar(self):

@@ -1,5 +1,7 @@
 """BFGS, strong Wolfe line search, multistart, and the FD oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -187,6 +189,22 @@ class TestOneExit:
             assert res.objective == f(x0) and res.grad_norm == start_norm
 
 
+class TestSubnormalCurvature:
+    """An s^T y small enough that 1 / s^T y overflows skips the update instead of filling H with NaN."""
+
+    @pytest.mark.parametrize("start", [(1.18e-157, 0.0, 0.0), (1e-160, 1e-160, 0.0),
+                                       (3e-158, 1e-158, 1e-159)])
+    def test_runs_clean_near_the_minimum(self, start):
+        x0 = np.array(start)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = bfgs_minimize(weighted_quadratic, weighted_quadratic_grad, x0,
+                                BfgsConfig(grad_tol=0.0))
+        assert np.all(np.isfinite(res.x)) and res.objective == weighted_quadratic(res.x)
+        assert res.objective <= weighted_quadratic(x0)
+        assert res.converged == (res.grad_norm == 0.0)
+
+
 class TestRangeBasis:
     @staticmethod
     def _rank_deficient_quadratic(n=8, k=3, seed=0):
@@ -342,11 +360,24 @@ class TestBfgsConfig:
     @pytest.mark.parametrize("field, value", [
         ("max_iters", 0), ("max_iters", -4), ("max_iters", 2.5), ("max_iters", float("inf")),
         ("max_iters", float("nan")), ("grad_tol", float("nan")), ("grad_tol", float("inf")),
-        ("grad_tol", -1e-6), ("restarts", 0), ("seed", -1),
+        ("grad_tol", -1e-6), ("restarts", 0), ("restarts", 2.5), ("seed", -1), ("seed", 1.5),
     ])
     def test_rejects_a_budget_that_cannot_run(self, field, value):
         with pytest.raises(ValueError, match=field):
             BfgsConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("max_iters", True), ("restarts", True), ("seed", "0"), ("grad_tol", True),
+    ])
+    def test_refuses_a_value_that_is_not_a_number(self, field, value):
+        with pytest.raises(TypeError, match=field):
+            BfgsConfig(**{field: value})
+
+    def test_reads_integer_valued_numbers_as_ints(self):
+        cfg = BfgsConfig(max_iters=3.0, grad_tol=1, restarts=np.int64(2), seed=5.0)
+        assert (cfg.max_iters, cfg.grad_tol, cfg.restarts, cfg.seed) == (3, 1.0, 2, 5)
+        types = [type(v) for v in (cfg.max_iters, cfg.grad_tol, cfg.restarts, cfg.seed)]
+        assert types == [int, float, int, int]
 
     def test_smallest_budget_runs(self):
         cfg = BfgsConfig(max_iters=1, grad_tol=0.0, restarts=1, seed=0)
