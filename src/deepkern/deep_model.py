@@ -92,6 +92,8 @@ class TwoLayerProblem:
 
     The centers are the data points, then ``extra_centers`` if given, which
     enlarge the inner search space (used to probe the representer property).
+    c is the flat vector of the (len(centers), inner.out_dim) coefficient
+    matrix, ``n_coeffs`` entries long.
     """
 
     def __init__(self, X, y, inner, outer, extra_centers=None):
@@ -104,22 +106,11 @@ class TwoLayerProblem:
         self.outer = outer
         self.centers = self.X if extra_centers is None else np.vstack([self.X, extra_centers])
         self.B = inner.diag_cross(self.centers, self.centers)   # (D, Nc, Nc); rows :N are the data
-
-    @property
-    def n_centers(self):
-        return len(self.centers)
-
-    @property
-    def out_dim(self):
-        return self.inner.out_dim
-
-    @property
-    def n_coeffs(self):
-        return self.n_centers * self.out_dim
+        self.n_coeffs = len(self.centers) * inner.out_dim
 
     def coeff_matrix(self, c):
         c = np.asarray(c, dtype=float)
-        return c.reshape(self.n_centers, self.out_dim)
+        return c.reshape(len(self.centers), self.inner.out_dim)
 
     def images(self, c):
         """Mapped data points g(x_i), shape (N, D): the data rows of Kblock c."""
@@ -269,7 +260,7 @@ def range_basis(prob):
     eigenvectors of B[l] whose eigenvalues exceed RANGE_CUTOFF times the
     largest, so r is the summed numerical rank of the D blocks.
     """
-    D = prob.out_dim
+    D = prob.inner.out_dim
     w, V = np.linalg.eigh(prob.B)   # one eigendecomposition per output block
     kept = [V[l][:, w[l] > RANGE_CUTOFF * w[l, -1]] for l in range(D)]
     U = np.zeros((prob.n_coeffs, sum(V.shape[1] for V in kept)))

@@ -72,10 +72,11 @@ class SamplingPlan:
     def __post_init__(self):
         for name in ("n_samples", "seed"):
             object.__setattr__(self, name, integer_field(getattr(self, name), name))
+        object.__setattr__(self, "noise_sigma", real_field(self.noise_sigma, "noise_sigma"))
         if self.n_samples < 1:
             raise ValueError("need at least one sample")
-        if self.noise_sigma < 0.0:
-            raise ValueError("noise level must be nonnegative")
+        if not 0.0 <= self.noise_sigma < math.inf:   # also rejects NaN
+            raise ValueError(f"noise level must be finite and nonnegative, got {self.noise_sigma!r}")
 
 
 @dataclass(frozen=True)
@@ -100,7 +101,8 @@ class EvalGrid:
     meshwidth: float = 1.0 / 50.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.meshwidth) and self.meshwidth > 0.0):
+        object.__setattr__(self, "meshwidth", real_field(self.meshwidth, "meshwidth"))
+        if not 0.0 < self.meshwidth < math.inf:   # also rejects NaN
             raise ValueError(f"mesh width must be finite and positive, got {self.meshwidth!r}")
 
     def axis_points(self, i):

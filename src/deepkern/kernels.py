@@ -98,6 +98,14 @@ def _check_points(kernel, X):
     return X
 
 
+def _read_fields(kernel, name, read):
+    """Set a scalar kernel's field name to read(value, name) and dim to an int >= 1."""
+    object.__setattr__(kernel, name, read(getattr(kernel, name), name))
+    object.__setattr__(kernel, "dim", integer_field(kernel.dim, "dim"))
+    if kernel.dim < 1:
+        raise ValueError("dimension must be positive")
+
+
 @dataclass(frozen=True)
 class PolyKernel:
     """Polynomial kernel (x.y + 1)^p on R^dim."""
@@ -106,10 +114,9 @@ class PolyKernel:
     dim: int
 
     def __post_init__(self):
-        if self.degree < 1 or int(self.degree) != self.degree:
+        _read_fields(self, "degree", integer_field)
+        if self.degree < 1:
             raise ValueError("polynomial degree must be a positive integer")
-        if self.dim < 1:
-            raise ValueError("dimension must be positive")
 
     family = "poly"
 
@@ -145,10 +152,9 @@ class GaussKernel:
     dim: int
 
     def __post_init__(self):
+        _read_fields(self, "sigma", real_field)
         if not (0.0 < self.sigma < math.inf):   # also rejects NaN
             raise ValueError(f"sigma must be finite and positive, got {self.sigma!r}")
-        if self.dim < 1:
-            raise ValueError("dimension must be positive")
 
     family = "gauss"
 
@@ -202,10 +208,9 @@ class TensorMaternKernel:
     dim: int
 
     def __post_init__(self):
-        if self.order < 1 or int(self.order) != self.order:
+        _read_fields(self, "order", integer_field)
+        if self.order < 1:
             raise ValueError("Matern order must be a positive integer")
-        if self.dim < 1:
-            raise ValueError("dimension must be positive")
 
     family = "tensor_matern"
 
@@ -280,10 +285,10 @@ class DiagScaledKernel:
     weights: tuple
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1 or w.size < 1 or not np.all((w > 0.0) & (w < np.inf)):   # also NaN
+        w = tuple(real_field(v, "weights") for v in self.weights)
+        if not (w and all(0.0 < v < math.inf for v in w)):   # also NaN
             raise ValueError("weights must be a vector of finite positive reals")
-        object.__setattr__(self, "weights", tuple(float(v) for v in w))
+        object.__setattr__(self, "weights", w)
 
     family = "diag_scaled"
 
@@ -343,8 +348,8 @@ def integer_field(value, key):
     """value as an int: a JSON number with an integer value, such as 3 or 3.0.
 
     A bool, a string or any other type raises TypeError, and a fraction or
-    a non-finite number ValueError; both name key.  Config and model files
-    read their counts, degrees, orders, dimensions and seeds through this.
+    a non-finite number ValueError; both name key.  Every count, degree,
+    order, dimension and seed the package is given is read through this.
     """
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return int(value)
@@ -362,11 +367,11 @@ def real_field(value, key):
     raise TypeError(f"{key} must be a number, got {value!r}")
 
 
-# family -> (class, parameter key, constructor argument, its reader)
+# family -> (class, parameter key, constructor argument); the class reads its fields
 _SCALAR_PARAMS = {
-    "poly": (PolyKernel, "p", "degree", integer_field),
-    "gauss": (GaussKernel, "sigma", "sigma", real_field),
-    "tensor_matern": (TensorMaternKernel, "s", "order", integer_field),
+    "poly": (PolyKernel, "p", "degree"),
+    "gauss": (GaussKernel, "sigma", "sigma"),
+    "tensor_matern": (TensorMaternKernel, "s", "order"),
 }
 
 
@@ -377,15 +382,15 @@ def _scalar_entry(family):
 
 
 def scalar_to_params(kernel):
-    _, key, arg, _ = _scalar_entry(kernel.family)
+    _, key, arg = _scalar_entry(kernel.family)
     return {"family": kernel.family, key: getattr(kernel, arg), "dim": kernel.dim}
 
 
 def scalar_from_params(params):
-    family = params.get("family")
-    dim = integer_field(params["dim"], "dim")
-    cls, key, arg, read = _scalar_entry(family)
-    return cls(**{arg: read(params[key], key), "dim": dim})
+    cls, key, arg = _scalar_entry(params.get("family"))
+    # p and s are integers read under their own key, so an error names the key
+    value = params[key] if key == arg else integer_field(params[key], key)
+    return cls(**{arg: value, "dim": params["dim"]})
 
 
 def matrix_to_params(kernel):
@@ -409,7 +414,7 @@ def matrix_from_params(params):
     if family == "diag_scaled":
         if len(comps) != 1:
             raise ValueError("diag_scaled takes exactly one scalar component")
-        return DiagScaledKernel(comps[0], tuple(real_field(w, "weights") for w in params["weights"]))
+        return DiagScaledKernel(comps[0], params["weights"])
     if family == "diag_mixture":
         return DiagMixtureKernel(components=tuple(comps))
     raise ValueError(f"unknown matrix kernel family {family!r}")

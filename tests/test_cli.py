@@ -12,9 +12,9 @@ import pytest
 
 import deepkern
 from deepkern import cli, experiments, optimize
-from deepkern.cli import _build_cv_plan, _build_opt_config, main
+from deepkern.cli import main
 from deepkern.deep_model import TwoLayerModel, load_model, predict_two_layer, save_model
-from deepkern.experiments import CvPlan, SamplingPlan, sample_dataset
+from deepkern.experiments import CvPlan, SamplingPlan, sample_dataset, stream_seed
 from deepkern.kernels import DiagScaledKernel, GaussKernel, PolyKernel
 from deepkern.optimize import BfgsConfig
 
@@ -558,10 +558,14 @@ class TestExitCodes:
         {"seed": [1]},
         {"inner": {**REG_CONFIG["inner"], "components": 5}},
         {"kernel": {"family": "gauss", "sigma": [1]}},
+        {"opt": {"max_iter": 2}},
+        {"opt": []},
+        {"cv": {"folds": 2, "lambda_grid": [0.1], "mu_grid": [0.1], "seed": 5}},
     ], ids=["kernel-number", "opt-number", "cv-grid-number", "seed-list", "components-number",
-            "sigma-list"])
+            "sigma-list", "opt-unknown-key", "opt-list", "cv-seed"])
     def test_config_block_of_wrong_type_exits_2(self, tmp_path, capsys, command, change):
-        # every command reads every block, so each of these fails in all three
+        # every command reads every block, so each of these fails in all three; an unknown
+        # key (a typo of max_iters, or a cv seed, which is the top-level seed) was dropped
         cfg = {**REG_CONFIG, "cv": {"folds": 2, "lambda_grid": [0.1], "mu_grid": [0.1]}, **change}
         data, _ = write_data(tmp_path, n=6, seed=9)
         path = write_config(tmp_path, cfg)
@@ -569,7 +573,9 @@ class TestExitCodes:
         if command == "fit":
             argv += ["--out", str(tmp_path / "m.json")]
         assert main(argv) == 2
-        assert capsys.readouterr().err.startswith(f"error: {path}: malformed config")
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}: malformed config")
+        assert captured.out == ""
 
     @pytest.mark.parametrize("family", [["poly"], None])
     @pytest.mark.parametrize("block", ["kernel", "inner"])
@@ -582,25 +588,37 @@ class TestExitCodes:
         assert "unknown scalar kernel family" in capsys.readouterr().err
 
 
-class TestConfigBlocks:
-    def test_empty_opt_block_gives_bfgs_defaults(self):
-        assert _build_opt_config({}, 17) == BfgsConfig(seed=17)
-        assert _build_opt_config({"opt": {}}, 17) == BfgsConfig(seed=17)
+def load_inputs(tmp_path, **blocks):
+    """cli._load_inputs on REG_CONFIG with blocks in place of its own; None drops a block."""
+    cfg = {k: v for k, v in {**REG_CONFIG, **blocks}.items() if v is not None}
+    data, _ = write_data(tmp_path, n=6, seed=9)
+    return cli._load_inputs(cli.build_parser().parse_args(
+        ["cv", "--config", write_config(tmp_path, cfg), "--data", data]))
 
-    def test_opt_keys_are_coerced(self):
+
+class TestConfigBlocks:
+    """The opt and cv blocks go whole to BfgsConfig and CvPlan; the top-level seed seeds both."""
+
+    def test_empty_opt_block_gives_bfgs_defaults(self, tmp_path):
+        init_seed = stream_seed(REG_CONFIG["seed"], "init")
+        for opt in (None, {}):
+            config = load_inputs(tmp_path, opt=opt)[4]
+            assert config == BfgsConfig(seed=init_seed)
+
+    def test_opt_keys_are_coerced(self, tmp_path):
         opt = {"max_iters": 7.0, "grad_tol": 1, "restarts": 3.0, "seed": 5}
-        config = _build_opt_config({"opt": opt}, 17)
+        config = load_inputs(tmp_path, opt=opt)[4]
         assert config == BfgsConfig(max_iters=7, grad_tol=1.0, restarts=3, seed=5)
         assert [type(v) for v in (config.max_iters, config.grad_tol, config.restarts,
                                   config.seed)] == [int, float, int, int]
 
-    def test_empty_cv_block_gives_cv_plan_defaults(self):
-        assert _build_cv_plan({"cv": {}}, 17) == CvPlan(seed=17)
-        assert _build_cv_plan({}, 17) is None
+    def test_empty_cv_block_gives_cv_plan_defaults(self, tmp_path):
+        assert load_inputs(tmp_path, cv={})[5] == CvPlan(seed=REG_CONFIG["seed"])
+        assert load_inputs(tmp_path, cv=None)[5] is None
 
-    def test_cv_keys_are_coerced(self):
-        plan = _build_cv_plan({"cv": {"folds": 3.0, "lambda_grid": [1, 2], "mu_grid": [0.5]}}, 4)
-        assert plan == CvPlan(folds=3, lambda_grid=(1.0, 2.0), mu_grid=(0.5,), seed=4)
+    def test_cv_keys_are_coerced(self, tmp_path):
+        plan = load_inputs(tmp_path, cv={"folds": 3.0, "lambda_grid": [1, 2], "mu_grid": [0.5]})[5]
+        assert plan == CvPlan(folds=3, lambda_grid=(1.0, 2.0), mu_grid=(0.5,), seed=REG_CONFIG["seed"])
         assert all(type(v) is float for v in plan.lambda_grid + plan.mu_grid)
         assert type(plan.folds) is int
 

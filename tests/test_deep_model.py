@@ -461,7 +461,7 @@ class TestInnerGramStack:
         X = rng.uniform(-1, 1, (n, 2))
         extra = rng.uniform(-1, 1, (n_extra, 2)) if n_extra else None
         prob = TwoLayerProblem(X, np.zeros(n), inner, GaussKernel(1.0, D), extra_centers=extra)
-        cm = rng.standard_normal((prob.n_centers, D))
+        cm = rng.standard_normal((len(prob.centers), D))
         want = np.einsum("dji,jd->id", inner.diag_cross(prob.centers, X), cm)
         got = prob.images(cm.ravel())
         assert got.shape == (n, D)
@@ -995,6 +995,22 @@ class TestSerialization:
                                  config=BfgsConfig(restarts=2, seed=96))
         clone, _, _ = _round_trip(model, tmp_path / "model.json")
         pts = rng.uniform(-1, 1, (5, 2))
+        np.testing.assert_array_equal(predict_two_layer(model, pts),
+                                      predict_two_layer(clone, pts))
+
+    # kernels built from numpy scalars: save_model used to raise "not JSON serializable"
+    @pytest.mark.parametrize("inner, outer", [
+        (DiagScaledKernel(PolyKernel(np.int64(1), 2), weights=(np.float32(1.0), 1.0)), GAUSS_OUT),
+        (POLY1, GaussKernel(np.float32(0.5), np.int64(2))),
+    ], ids=["int64-degree", "float32-sigma"])
+    def test_numpy_scalar_parameters_round_trip(self, tmp_path, inner, outer):
+        rng = np.random.default_rng(97)
+        X = rng.uniform(-1, 1, (5, 2))
+        model, _ = fit_two_layer(X, rng.standard_normal(5), inner, outer,
+                                 config=BfgsConfig(restarts=1, max_iters=20, seed=97))
+        clone, text, again = _round_trip(model, tmp_path / "model.json")
+        assert clone.inner == inner and clone.outer == outer and again == text
+        pts = rng.uniform(-1, 1, (7, 2))
         np.testing.assert_array_equal(predict_two_layer(model, pts),
                                       predict_two_layer(clone, pts))
 

@@ -117,6 +117,27 @@ class TestPlanCounts:
         assert all(type(v) is int for v in (cv.folds, cv.seed, sampling.n_samples, sampling.seed))
 
 
+class TestPlanReals:
+    # nan and inf noise made every target non-finite; True was read as 1.0, and as a mesh width
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: SamplingPlan(noise_sigma=float("nan")), ValueError, "noise level must be finite"),
+        (lambda: SamplingPlan(noise_sigma=float("inf")), ValueError, "noise level must be finite"),
+        (lambda: SamplingPlan(noise_sigma=-0.1), ValueError, "noise level must be finite"),
+        (lambda: SamplingPlan(noise_sigma=True), TypeError, "^noise_sigma must be a number"),
+        (lambda: EvalGrid(meshwidth=True), TypeError, "^meshwidth must be a number"),
+        (lambda: EvalGrid(meshwidth="0.5"), TypeError, "^meshwidth must be a number"),
+    ], ids=["noise-nan", "noise-inf", "noise-negative", "noise-bool", "mesh-bool", "mesh-string"])
+    def test_refuses_a_value_outside_its_rule(self, build, error, message):
+        with pytest.raises(error, match=message):
+            build()
+
+    def test_reads_numbers_as_floats(self):
+        plan, grid = SamplingPlan(noise_sigma=np.float32(0.5)), EvalGrid(meshwidth=np.int64(1))
+        assert (plan.noise_sigma, grid.meshwidth) == (0.5, 1.0)
+        assert type(plan.noise_sigma) is float and type(grid.meshwidth) is float
+        assert SamplingPlan(noise_sigma=0).noise_sigma == 0.0
+
+
 class TestFolds:
     def test_partition(self):
         blocks = fold_blocks(23, 5, stream_rng(0, "folds"))

@@ -130,6 +130,32 @@ class TestScalarValues:
         with pytest.raises(ValueError, match="^sigma must be finite and positive"):
             GaussKernel(sigma=sigma, dim=2)
 
+    # what load_model refuses in a file, so that every fitted model reloads
+    @pytest.mark.parametrize("build, error, field", [
+        (lambda: GaussKernel(sigma=True, dim=2), TypeError, "sigma"),
+        (lambda: GaussKernel(sigma="0.5", dim=2), TypeError, "sigma"),
+        (lambda: TensorMaternKernel(order=True, dim=2), TypeError, "order"),
+        (lambda: TensorMaternKernel(order=1, dim=True), TypeError, "dim"),
+        (lambda: PolyKernel(degree=2, dim=2.5), ValueError, "dim"),
+        (lambda: PolyKernel(degree=1.5, dim=2), ValueError, "degree"),
+        (lambda: DiagScaledKernel(GaussKernel(1.0, 2), weights=("2", 1.0)), TypeError, "weights"),
+        (lambda: DiagScaledKernel(GaussKernel(1.0, 2), weights=(1.0, True)), TypeError, "weights"),
+    ], ids=["sigma-bool", "sigma-string", "order-bool", "dim-bool", "dim-fraction",
+            "degree-fraction", "weight-string", "weight-bool"])
+    def test_refuses_a_parameter_that_is_not_a_number_of_its_kind(self, build, error, field):
+        with pytest.raises(error, match=f"^{field} must be"):
+            build()
+
+    def test_reads_numbers_as_python_ints_and_floats(self):
+        kernels = (PolyKernel(np.int64(2), 2.0), GaussKernel(np.float32(0.5), np.int32(2)),
+                   TensorMaternKernel(2.0, np.int64(3)))
+        assert kernels == (PolyKernel(2, 2), GaussKernel(0.5, 2), TensorMaternKernel(2, 3))
+        for k, kind in zip(kernels, (int, float, int)):
+            _, value, dim = scalar_to_params(k).values()   # family, p / sigma / s, dim
+            assert type(value) is kind and type(dim) is int
+        weights = DiagScaledKernel(kernels[0], np.array([1.0, 2.0], np.float32)).weights
+        assert weights == (1.0, 2.0) and all(type(w) is float for w in weights)
+
 
 ALL_SCALARS = [
     PolyKernel(degree=1, dim=2),
