@@ -174,68 +174,49 @@ def _cmd_predict(args):
 _DEMO_FIGURES = ("int-h1", "int-h2", "reg-h1", "reg-h2", "linout-h1", "linout-h2")
 
 
-def _demo_setup(figure, scale, seed):
-    tf = "h1" if figure.endswith("h1") else "h2"
-    n, restarts = (100, 64) if scale == "paper" else (50, 16)
-    plan = SamplingPlan(n_samples=n, noise_sigma=0.01, seed=seed)
-    config = BfgsConfig(restarts=restarts)
-    # CV cells get a slimmer budget; the final refit uses the full one
-    cv_config = BfgsConfig(restarts=max(2, restarts // 8), max_iters=100)
-    return tf, plan, config, cv_config
-
-
-def _demo_cv_grid(grid, scale):
-    # desk scale thins the parameter grid to keep the demo minute-scale
-    return tuple(grid) if scale == "paper" else tuple(grid[::2])
-
-
-def _cmd_demo(args):
-    out_dir = args.out_dir
-    os.makedirs(out_dir, exist_ok=True)
-    tf, plan, config, cv_config = _demo_setup(args.figure, args.scale, args.seed)
-    kind = args.figure.split("-")[0]
-
-    if kind != "linout":   # int and reg share the inner kernel: degree 1 for h1, 2 for h2
-        degree = 1 if tf == "h1" else 2
-        inner = DiagScaledKernel(PolyKernel(degree=degree, dim=2), weights=(1.0, 1.0))
-        if kind == "int":
-            outer, mode, cv_plan = TensorMaternKernel(order=1, dim=2), "interpolation", None
-        else:
-            grid = _demo_cv_grid(dyadic_grid(), args.scale)
-            outer, mode = GaussKernel(sigma=0.1, dim=2), "regression"
-            cv_plan = CvPlan(lambda_grid=grid, mu_grid=grid)
-        report = run_comparison(tf, outer, inner, plan, cv_plan=cv_plan, mode=mode,
-                                config=config, cv_config=cv_config)
-        lines = report.lines()
-        write_error_grid_csv(os.path.join(out_dir, "two_layer_error.csv"), report.two_layer.error)
-        write_error_grid_csv(os.path.join(out_dir, "single_layer_error.csv"), report.single_layer.error)
-        write_inner_map_csv(os.path.join(out_dir, "inner_map.csv"), report.two_layer_model, EvalGrid())
-    else:   # linear versus nonlinear outer kernel on the mixture inner kernel
-        mixture = DiagMixtureKernel(components=(
+def _demo_settings(figure, scale):
+    """(inner kernel, outer kernels, mode, CV plan) of a figure; linout-* has two outer kernels."""
+    kind, tf = figure.split("-")
+    if kind == "linout":   # linear versus nonlinear outer kernel on the mixture inner kernel
+        inner = DiagMixtureKernel(components=(
             GaussKernel(sigma=0.1, dim=2),
             GaussKernel(sigma=1.0, dim=2),
             GaussKernel(sigma=10.0, dim=2),
             PolyKernel(degree=1, dim=2),
             PolyKernel(degree=2, dim=2),
         ))
-        grid = _demo_cv_grid(decade_grid(), args.scale)
-        cv_plan = CvPlan(lambda_grid=grid, mu_grid=grid)
-        rep1 = run_comparison(tf, PolyKernel(degree=1, dim=5), mixture, plan,
-                              cv_plan=cv_plan, mode="regression",
-                              config=config, cv_config=cv_config)
-        rep2 = run_comparison(tf, TensorMaternKernel(order=1, dim=5), mixture, plan,
-                              cv_plan=cv_plan, mode="regression",
-                              config=config, cv_config=cv_config)
-        lines = ["figure=" + args.figure, "scale=" + args.scale]
-        lines += ["setting1." + ln for ln in rep1.lines()]
-        lines += ["setting2." + ln for ln in rep2.lines()]
-        write_error_grid_csv(os.path.join(out_dir, "setting1_error.csv"), rep1.two_layer.error)
-        write_error_grid_csv(os.path.join(out_dir, "setting2_error.csv"), rep2.two_layer.error)
-        write_error_grid_csv(os.path.join(out_dir, "single_layer_error.csv"), rep2.single_layer.error)
-        grid = EvalGrid()
-        write_inner_map_csv(os.path.join(out_dir, "setting1_inner_map.csv"), rep1.two_layer_model, grid)
-        write_inner_map_csv(os.path.join(out_dir, "setting2_inner_map.csv"), rep2.two_layer_model, grid)
-    write_report(os.path.join(out_dir, "report.txt"), lines)
+        outers, grid = (PolyKernel(degree=1, dim=5), TensorMaternKernel(order=1, dim=5)), decade_grid()
+    else:   # int and reg share the inner kernel: degree 1 for h1, 2 for h2
+        inner = DiagScaledKernel(PolyKernel(degree=1 if tf == "h1" else 2, dim=2), weights=(1.0, 1.0))
+        if kind == "int":
+            return inner, (TensorMaternKernel(order=1, dim=2),), "interpolation", None
+        outers, grid = (GaussKernel(sigma=0.1, dim=2),), dyadic_grid()
+    # desk scale thins the parameter grid to keep the demo minute-scale
+    grid = tuple(grid) if scale == "paper" else tuple(grid[::2])
+    return inner, outers, "regression", CvPlan(lambda_grid=grid, mu_grid=grid)
+
+
+def _cmd_demo(args):
+    os.makedirs(args.out_dir, exist_ok=True)
+    tf = args.figure.split("-")[1]
+    inner, outers, mode, cv_plan = _demo_settings(args.figure, args.scale)
+    n, restarts = (100, 64) if args.scale == "paper" else (50, 16)
+    plan = SamplingPlan(n_samples=n, noise_sigma=0.01, seed=args.seed)
+    config = BfgsConfig(restarts=restarts)
+    # CV cells get a slimmer budget; the final refit uses the full one
+    cv_config = BfgsConfig(restarts=max(2, restarts // 8), max_iters=100)
+    # one setting writes unprefixed names; two are told apart as setting1 and setting2
+    many = len(outers) > 1
+    lines = ["figure=" + args.figure, "scale=" + args.scale] if many else []
+    for k, outer in enumerate(outers, 1):
+        report = run_comparison(tf, outer, inner, plan, cv_plan=cv_plan, mode=mode,
+                                config=config, cv_config=cv_config)
+        stem = os.path.join(args.out_dir, f"setting{k}_" if many else "")
+        lines += [f"setting{k}." + ln if many else ln for ln in report.lines()]
+        write_error_grid_csv(stem + ("error.csv" if many else "two_layer_error.csv"), report.two_layer.error)
+        write_inner_map_csv(stem + "inner_map.csv", report.two_layer_model, EvalGrid())
+    write_error_grid_csv(os.path.join(args.out_dir, "single_layer_error.csv"), report.single_layer.error)
+    write_report(os.path.join(args.out_dir, "report.txt"), lines)
     write_report(None, lines)
     return 0
 

@@ -28,6 +28,9 @@ from .optimize import BfgsConfig
 from .single_layer import fit_single, predict_single
 
 DOMAIN = ((-1.0, 1.0), (-1.0, 1.0))   # the box [-1, 1]^2 of both test functions
+# EvalGrid refuses a finer grid before allocating it, so a grid holds at most
+# 2,001^2 = 4,004,001 points (a width of 0.001 on [-1, 1])
+MAX_AXIS_POINTS = 2001
 
 _STREAM_TAGS = {"sampling": 0x5A01, "init": 0x5A02, "folds": 0x5A03}
 
@@ -104,6 +107,10 @@ class EvalGrid:
         object.__setattr__(self, "meshwidth", real_field(self.meshwidth, "meshwidth"))
         if not 0.0 < self.meshwidth < math.inf:   # also rejects NaN
             raise ValueError(f"mesh width must be finite and positive, got {self.meshwidth!r}")
+        smallest = max(hi - lo for lo, hi in DOMAIN) / (MAX_AXIS_POINTS - 1)
+        if self.meshwidth < smallest:
+            raise ValueError(f"meshwidth must be at least {smallest!r} ({MAX_AXIS_POINTS} points "
+                             f"per axis), got {self.meshwidth!r}")
 
     def axis_points(self, i):
         lo, hi = DOMAIN[i]

@@ -22,11 +22,12 @@ caller already holds; both methods go one coordinate at a time, with no
 with the allocating form's operations in its order, so the bits are the
 same.  ``grad2_cross(X, Z)``, the (n, m, D) tensor of the same
 derivatives, is the reference that ``vjp`` is tested against.
-``cross(X, X)`` of one float array is the Gram matrix as it comes, exactly
+``cross(X, X)`` of one argument is the Gram matrix as it comes, exactly
 symmetric, as is each block of ``diag_cross(X, X)``: entry (i, j) comes
 from x_i - x_j by sign-symmetric steps (a square or an absolute value,
 then sums and products in coordinate order), and numpy forms the
-polynomial kernel's ``X @ X.T`` of one array as a symmetric rank-k update.
+polynomial kernel's ``X @ X.T`` of one array as a symmetric rank-k update
+(an argument passed as both X and Z, a list say, is converted once).
 
 Matrix-valued (diagonal) kernels come in two flavors: a scalar kernel
 scaled by a per-output weight vector, and a diagonal mixture of distinct
@@ -91,11 +92,15 @@ def _check_pair(kernel, x, y):
     return x, y
 
 
-def _check_points(kernel, X):
+def _check_points(kernel, X, Z):
+    """X and Z as 2-D float arrays of the kernel's dimension; one object passed as both is converted once."""
+    same = Z is X
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[1] != kernel.dim:
-        raise ValueError(f"points have dimension {X.shape[1]}, kernel expects {kernel.dim}")
-    return X
+    Z = X if same else np.atleast_2d(np.asarray(Z, dtype=float))
+    for P in (X, Z):
+        if P.shape[1] != kernel.dim:
+            raise ValueError(f"points have dimension {P.shape[1]}, kernel expects {kernel.dim}")
+    return X, Z
 
 
 def _read_fields(kernel, name, read):
@@ -125,12 +130,12 @@ class PolyKernel:
         return float((x @ y + 1.0) ** self.degree)
 
     def cross(self, X, Z):
-        X, Z = _check_points(self, X), _check_points(self, Z)
+        X, Z = _check_points(self, X, Z)
         return (X @ Z.T + 1.0) ** self.degree
 
     def grad2_cross(self, X, Z):
         """(n, m, dim) array of the gradients of k(X_i, Z_j) with respect to Z_j."""
-        X, Z = _check_points(self, X), _check_points(self, Z)
+        X, Z = _check_points(self, X, Z)
         base = self.degree * (X @ Z.T + 1.0) ** (self.degree - 1)
         return base[:, :, None] * X[:, None, :]
 
@@ -164,7 +169,7 @@ class GaussKernel:
         return float(np.exp(-(d @ d) / (2.0 * self.sigma**2)))
 
     def cross(self, X, Z):
-        X, Z = _check_points(self, X), _check_points(self, Z)
+        X, Z = _check_points(self, X, Z)
         sq = np.zeros((len(X), len(Z)))
         d = np.empty_like(sq)   # scratch for one coordinate's differences
         for i in range(self.dim):
@@ -175,7 +180,7 @@ class GaussKernel:
         return np.exp(sq, out=sq)
 
     def grad2_cross(self, X, Z):
-        X, Z = _check_points(self, X), _check_points(self, Z)
+        X, Z = _check_points(self, X, Z)
         diff = X[:, None, :] - Z[None, :, :]
         k = np.exp(-np.sum(diff**2, axis=-1) / (2.0 * self.sigma**2))
         return k[:, :, None] * diff / self.sigma**2
@@ -223,7 +228,7 @@ class TensorMaternKernel:
         return float(np.prod(self._factors(np.abs(x - y))))
 
     def cross(self, X, Z):
-        X, Z = _check_points(self, X), _check_points(self, Z)
+        X, Z = _check_points(self, X, Z)
         poly, _ = _matern_polys(self.order)
         r_sum = np.zeros((len(X), len(Z)))
         r = np.empty_like(r_sum)   # scratch for one coordinate's distances
@@ -239,7 +244,7 @@ class TensorMaternKernel:
         return K if p_prod is None else np.multiply(K, p_prod, out=K)
 
     def grad2_cross(self, X, Z):
-        X, Z = _check_points(self, X), _check_points(self, Z)
+        X, Z = _check_points(self, X, Z)
         diff = Z[None, :, :] - X[:, None, :]
         R = np.abs(diff)
         poly, dpoly = _matern_polys(self.order)

@@ -14,7 +14,14 @@ import deepkern
 from deepkern import cli, experiments, optimize
 from deepkern.cli import main
 from deepkern.deep_model import TwoLayerModel, load_model, predict_two_layer, save_model
-from deepkern.experiments import CvPlan, SamplingPlan, sample_dataset, stream_seed
+from deepkern.experiments import (
+    CvPlan,
+    SamplingPlan,
+    decade_grid,
+    dyadic_grid,
+    sample_dataset,
+    stream_seed,
+)
 from deepkern.kernels import DiagScaledKernel, GaussKernel, PolyKernel
 from deepkern.optimize import BfgsConfig
 
@@ -320,6 +327,20 @@ class TestOtherCommands:
         assert "mesh width must be finite and positive" in capsys.readouterr().err
         assert not out_csv.exists()
 
+    @pytest.mark.parametrize("command", ["error-grid", "inner-map"])
+    @pytest.mark.parametrize("meshwidth", ["1e-4", "1e-12"])
+    def test_mesh_width_past_the_point_cap_exits_2(self, tmp_path, capsys, command, meshwidth):
+        # 1e-12 used to end in numpy's allocation error for 14.6 TiB, with exit 1
+        model_path = save_small_model(tmp_path)
+        extra = ["--function", "h1"] if command == "error-grid" else []
+        out_csv = tmp_path / "out.csv"
+        assert main([command, "--model", model_path, *extra, "--meshwidth", meshwidth,
+                     "--out", str(out_csv)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "meshwidth must be at least 0.001" in captured.err
+        assert not out_csv.exists()
+
     def test_missing_model_file_exits_2(self, tmp_path):
         assert main(["predict", "--model", str(tmp_path / "nope.txt"),
                      "--points", str(tmp_path / "nope.csv")]) == 2
@@ -424,6 +445,52 @@ class TestDemoWiring:
         assert main(["demo", "--figure", "reg-h2", "--scale", "desk",
                      "--out-dir", str(tmp_path / "reg")]) == 0
         assert seen["cv_plan"].lambda_grid == tuple(dyadic_grid()[::2])
+
+    # figure -> outer (family, dim) per setting, inner (family, out_dim), mode, the full CV grid
+    FIGURES = {
+        "int-h1": ([("tensor_matern", 2)], ("diag_scaled", 2), "interpolation", None),
+        "int-h2": ([("tensor_matern", 2)], ("diag_scaled", 2), "interpolation", None),
+        "reg-h1": ([("gauss", 2)], ("diag_scaled", 2), "regression", dyadic_grid()),
+        "reg-h2": ([("gauss", 2)], ("diag_scaled", 2), "regression", dyadic_grid()),
+        "linout-h1": ([("poly", 5), ("tensor_matern", 5)], ("diag_mixture", 5), "regression", decade_grid()),
+        "linout-h2": ([("poly", 5), ("tensor_matern", 5)], ("diag_mixture", 5), "regression", decade_grid()),
+    }
+
+    @pytest.mark.parametrize("scale", ["desk", "paper"])
+    @pytest.mark.parametrize("figure", list(FIGURES))
+    def test_figure_table(self, tmp_path, monkeypatch, capsys, figure, scale):
+        calls = []
+
+        def fake_run(tf, outer, inner, plan, cv_plan=None, mode="regression", config=None,
+                     cv_config=None):
+            calls.append((tf, outer, inner, plan, cv_plan, mode, config, cv_config))
+            return self._fake_report(tf, mode)
+
+        monkeypatch.setattr(cli, "run_comparison", fake_run)
+        out_dir = tmp_path / "out"
+        assert main(["demo", "--figure", figure, "--scale", scale, "--out-dir", str(out_dir)]) == 0
+        outers, (inner_family, out_dim), mode, grid = self.FIGURES[figure]
+        if grid is not None:   # desk scale keeps every other value
+            grid = tuple(grid if scale == "paper" else grid[::2])
+        n, restarts, cv_restarts = (100, 64, 8) if scale == "paper" else (50, 16, 2)
+        assert [(c[1].family, c[1].dim) for c in calls] == outers
+        for tf, _, inner, plan, cv_plan, call_mode, config, cv_config in calls:
+            assert tf == figure.split("-")[1]
+            assert (inner.family, inner.out_dim, call_mode) == (inner_family, out_dim, mode)
+            if inner_family == "diag_scaled":   # degree 1 for h1, 2 for h2
+                assert inner.scalar.degree == (1 if tf == "h1" else 2)
+            assert (plan.n_samples, plan.noise_sigma, plan.seed) == (n, 0.01, 7041)
+            assert (None if cv_plan is None else cv_plan.lambda_grid) == grid
+            assert (None if cv_plan is None else cv_plan.mu_grid) == grid
+            assert (config.restarts, config.max_iters) == (restarts, 500)
+            assert (cv_config.restarts, cv_config.max_iters) == (cv_restarts, 100)
+        if len(outers) == 1:
+            names = ["inner_map.csv", "report.txt", "single_layer_error.csv", "two_layer_error.csv"]
+        else:
+            names = ["report.txt", "setting1_error.csv", "setting1_inner_map.csv",
+                     "setting2_error.csv", "setting2_inner_map.csv", "single_layer_error.csv"]
+        assert sorted(p.name for p in out_dir.iterdir()) == names
+        assert (out_dir / "report.txt").read_text() == capsys.readouterr().out
 
 
 class TestExitCodes:

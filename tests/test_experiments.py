@@ -7,6 +7,7 @@ import pytest
 
 from deepkern.deep_model import TwoLayerModel, fit_two_layer
 from deepkern.experiments import (
+    MAX_AXIS_POINTS,
     TEST_FUNCTIONS,
     CvPlan,
     Dataset,
@@ -99,6 +100,15 @@ class TestEvalGrid:
     def test_mesh_width_must_be_finite_and_positive(self, meshwidth):
         with pytest.raises(ValueError, match="mesh width must be finite and positive"):
             EvalGrid(meshwidth=meshwidth)
+
+    @pytest.mark.parametrize("meshwidth", [0.0009999, 1e-4, 1e-12, 5e-324])
+    def test_refuses_more_points_per_axis_than_the_cap(self, meshwidth):
+        # 1e-12 used to ask numpy for 14.6 TiB
+        with pytest.raises(ValueError, match="meshwidth must be at least 0.001"):
+            EvalGrid(meshwidth=meshwidth)
+
+    def test_the_smallest_width_gives_the_cap(self):
+        assert len(EvalGrid(meshwidth=0.001).axis_points(0)) == MAX_AXIS_POINTS == 2001
 
 
 class TestPlanCounts:

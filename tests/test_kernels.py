@@ -510,6 +510,15 @@ class TestGramSymmetry:
             bits = gram(X, other).view(np.uint64)
             assert np.array_equal(bits, np.swapaxes(bits, -1, -2))
 
+    def test_one_list_passed_twice_is_converted_once(self):
+        # converted twice, the list made two arrays, and X @ Z.T rounded K[i, j] and
+        # K[j, i] apart: by up to 8.5e-14 at this draw
+        L = np.random.default_rng(0).standard_normal((303, 3)).tolist()
+        for kernel in (PolyKernel(degree=3, dim=3), DiagScaledKernel(PolyKernel(3, 3), (1.0, 2.0))):
+            gram = kernel.cross if hasattr(kernel, "cross") else kernel.diag_cross
+            bits = gram(L, L).view(np.uint64)
+            assert np.array_equal(bits, np.swapaxes(bits, -1, -2))
+
 
 class TestParamRoundTrip:
     @pytest.mark.parametrize("kernel", ALL_SCALARS)
